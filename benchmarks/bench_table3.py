@@ -3,8 +3,7 @@
 Expected shape: averages within tens of percent of the paper's column
 (6.1 cycles at d=5/p=0.001 up to 337 at d=13/p=0.01), every average
 well under the 2000-cycle budget of a 1 us interval at 2 GHz.  Maxima
-are heavy-tail statistics and land below the paper's at this budget
-(EXPERIMENTS.md discusses the gap).
+are heavy-tail statistics and land below the paper's at this budget.
 """
 
 from __future__ import annotations

@@ -80,16 +80,17 @@ SERVICE_SCALING_FLOORS = {
 # they carry no scalar speedup (schema bench-service/2+).
 SERVICE_REQUIRED_POINTS = ("openloop_mixed",)
 
-# Compiled-kernel-backend floors (schema bench-engine/3+): numba vs
-# numpy on the same workload.  Armed only when the record's host could
-# import numba (``host.numba`` carries its version string) — mirroring
-# the CPU-gated shard-scaling floors above.  A numba-less host's record
-# legitimately omits the points; a numba-capable record must carry them
-# at or above the floor.
+# Compiled-kernel-backend floors (schema bench-engine/3+): c vs numpy
+# on the same workload.  Armed when the record's host stamp names the
+# compiled backend that resolved (``host.compiled_backend``, ``null``
+# when it fell back to numpy) — mirroring the CPU-gated shard-scaling
+# floors above.  A record whose host could not build the backend
+# legitimately omits the points; one that could must carry them at or
+# above the floor.
 ENGINE_COMPILED_FLOORS = {
-    "drain_d9_numba": 2.0,
-    "drain_d13_numba": 2.0,
-    "online_d9_2GHz_numba": 2.0,
+    "drain_d9_c": 2.0,
+    "drain_d13_c": 2.0,
+    "online_d9_2GHz_c": 2.0,
 }
 
 
@@ -119,13 +120,14 @@ def check(path: Path) -> list[str]:
                 f" committed floor {floor}x"
             )
     if schema == "bench-engine":
-        if record.get("host", {}).get("numba"):
+        compiled = record.get("host", {}).get("compiled_backend")
+        if compiled:
             for name, floor in ENGINE_COMPILED_FLOORS.items():
                 point = seen.get(name)
                 if point is None:
                     errors.append(
                         f"{path}: required bench point {name!r} missing"
-                        f" (host has numba)"
+                        f" (host built the {compiled!r} backend)"
                     )
                     continue
                 speedup = point.get("speedup")

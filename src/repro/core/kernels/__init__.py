@@ -10,20 +10,17 @@ registration rejected, unknown names listed in the error.
 
 Built-in backends:
 
-``numpy`` (default)
-    The vectorized implementations the engines shipped with, moved out
-    of the engine bodies verbatim.  Always available.
+``c`` (default)
+    The seven kernels compiled from ``ckernels.c`` by the system C
+    compiler on first use and cached per host (:mod:`.c_backend`).
+    When the build or load fails the factory warns once per process
+    and returns the numpy backend (sessions decode bit-identically
+    either way — backends never change observables).
 
-``python``
-    The njit-compatible loop kernels of :mod:`.loops` run uncompiled.
-    Slow — it exists so the compiled backend's *logic* is exercised by
-    the bit-identity suites even on hosts without numba.
-
-``numba``
-    The same loop kernels compiled with ``numba.njit(cache=True)``.
-    Import-guarded: when numba is missing the factory warns once per
-    process and returns the numpy backend (sessions decode
-    bit-identically either way — backends never change observables).
+``numpy``
+    The vectorized implementations the engines shipped with: the
+    reference semantics every backend is pinned to, and the fallback.
+    Always available.
 
 The bit-identity contract (tests/README.md) binds every backend: on
 the same input stream, matches (objects and order), per-layer cycles,
@@ -41,8 +38,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.kernels.loops import NO_CANDIDATE  # noqa: F401
-
 __all__ = [
     "CommitScan",
     "Geometry",
@@ -50,7 +45,6 @@ __all__ = [
     "available_kernel_backends",
     "default_kernel_backend",
     "get_kernel_backend",
-    "numba_version",
     "register_kernel_backend",
     "resolve_kernel_backend",
     "set_default_kernel_backend",
@@ -192,8 +186,8 @@ def get_kernel_backend(name: str) -> KernelBackend:
     """Resolve a backend by name (instances are shared per process).
 
     Unknown names raise ``ValueError`` listing the registered
-    backends.  A registered backend whose imports are unavailable may
-    return a substitute (the numba factory falls back to numpy with a
+    backends.  A registered backend that cannot be built here may
+    return a substitute (the ``c`` factory falls back to numpy with a
     one-time warning) — the returned object's ``name`` tells the truth.
     """
     try:
@@ -214,11 +208,11 @@ _default_name: str | None = None
 
 
 def default_kernel_backend() -> str:
-    """The process-default backend name (``numpy`` unless overridden by
+    """The process-default backend name (``c`` unless overridden by
     :func:`set_default_kernel_backend` or ``REPRO_KERNEL_BACKEND``)."""
     if _default_name is not None:
         return _default_name
-    return os.environ.get(KERNEL_BACKEND_ENV) or "numpy"
+    return os.environ.get(KERNEL_BACKEND_ENV) or "c"
 
 
 def set_default_kernel_backend(name: str) -> None:
@@ -244,44 +238,29 @@ def resolve_kernel_backend(
     return get_kernel_backend(spec)
 
 
-def numba_version() -> str | None:
-    """The importable numba's version string, or ``None``."""
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba.__version__
-
-
 def _make_numpy() -> KernelBackend:
     from repro.core.kernels.numpy_backend import NumpyKernelBackend
 
     return NumpyKernelBackend()
 
 
-def _make_python() -> KernelBackend:
-    from repro.core.kernels.numba_backend import LoopKernelBackend
+def _make_c() -> KernelBackend:
+    from repro.core.kernels.c_backend import BuildError, CKernelBackend
 
-    return LoopKernelBackend()
-
-
-def _make_numba() -> KernelBackend:
     try:
-        from repro.core.kernels.numba_backend import NumbaKernelBackend
-
-        return NumbaKernelBackend()
-    except ImportError:
+        return CKernelBackend()
+    except BuildError as exc:
         # Once per process, not per engine: engine pools construct
         # engines continuously and the scheduler must not spam logs.
         # UserWarning (not RuntimeWarning): services run with
-        # `-W error::RuntimeWarning` and a numba-less host serving a
-        # numba-requesting spec is a degradation, not an error.
-        if "numba" not in _warned_fallback:
-            _warned_fallback.add("numba")
+        # `-W error::RuntimeWarning` and a compiler-less host serving
+        # the default backend is a degradation, not an error.
+        if "c" not in _warned_fallback:
+            _warned_fallback.add("c")
             warnings.warn(
-                "kernel backend 'numba' requested but numba is not"
-                " importable; falling back to the numpy backend"
-                " (results are bit-identical, only slower)",
+                f"kernel backend 'c' is unavailable ({exc}); falling back"
+                " to the numpy backend (results are bit-identical, only"
+                " slower)",
                 UserWarning,
                 stacklevel=3,
             )
@@ -289,16 +268,15 @@ def _make_numba() -> KernelBackend:
 
 
 register_kernel_backend("numpy", _make_numpy)
-register_kernel_backend("python", _make_python)
-register_kernel_backend("numba", _make_numba)
+register_kernel_backend("c", _make_c)
 
 
 def warm_up(name: str) -> KernelBackend:
     """Exercise every dispatched kernel of ``name`` on a tiny decode.
 
-    For the numba backend this triggers (and, with ``cache=True``,
-    persists) the JIT compilation of every kernel, so CI can pay the
-    compile cost once before timing anything.  Returns the backend.
+    For the ``c`` backend this builds (or loads the cached) library
+    and runs every compiled kernel once, so a broken build shows up
+    before anything is timed.  Returns the resolved backend.
     """
     backend = get_kernel_backend(name)
     from repro.core.engine import QecoolEngine
@@ -327,7 +305,7 @@ def warm_up(name: str) -> KernelBackend:
         scalar.push_layer(row)
     scalar.run_to_idle()
     # The scalar broadcast race only dispatches above its bulk cutoff;
-    # drive it directly so the compile is not workload-dependent.
+    # drive it directly so every kernel runs whatever the workload.
     masks1 = np.zeros(n, dtype=np.uint64)
     masks1[0] = 3
     masks1[1] = 1

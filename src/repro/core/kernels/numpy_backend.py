@@ -1,9 +1,10 @@
-"""The default kernel backend: the engines' vectorized hot loops.
+"""The reference kernel backend: the engines' vectorized hot loops.
 
 This is the code the engines shipped with, moved out of
 ``engine_batch.py`` / ``engine.py`` bodies verbatim — it defines the
 reference semantics every other backend is pinned to by the
-equivalence suites.  Pure numpy, always available.
+equivalence suites, and is the fallback when the ``c`` backend cannot
+be built.  Pure numpy, always available.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels import CommitScan, Geometry, KernelBackend
-from repro.core.kernels.loops import NO_CANDIDATE
-
 _ONE = np.uint64(1)
+
+#: Packed-key sentinel for "no candidate" (mirrors the engine's
+#: ``_NO_CANDIDATE``; real candidate keys are far below it).
+NO_CANDIDATE = 1 << 62
 
 # Reg depth cap (mirrors the engine's MAX_LAYERS; kernels avoid the
 # engine import to stay cycle-free).

@@ -2,8 +2,8 @@
 
 Long sweeps (Fig. 4(a) at publication shots runs for hours) should be
 decoupled from report formatting; these helpers serialise the point
-dataclasses losslessly so EXPERIMENTS.md numbers can be regenerated
-from stored runs::
+dataclasses losslessly so reported numbers can be regenerated from
+stored runs::
 
     result = run_fig4a(shots=3000)
     save_points("fig4a.json", [p for pts in result.points.values() for p in pts])

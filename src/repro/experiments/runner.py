@@ -249,9 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--kernel-backend", default=None, choices=available_kernel_backends(),
-        help="engine-kernel backend for every decode (default: numpy; "
-        "'numba' JIT-compiles the hot loops, falling back to numpy with "
-        "a warning when numba is not installed)",
+        help="engine-kernel backend for every decode (default: c, the "
+        "compiled kernels, built once per host and falling back to numpy "
+        "with a warning when no C compiler is available)",
     )
     args = parser.parse_args(argv)
     if args.kernel_backend is not None:

@@ -95,7 +95,7 @@ def run_table3(
 
     ``shots x rounds_per_shot`` layers contribute to each row; the
     paper's max column is a heavy-tail statistic, so small budgets
-    understate it (EXPERIMENTS.md discusses the residual gap).
+    understate it.
     ``jobs`` shards each point's shot loop across worker processes; the
     cycle population is identical at any worker count.  Adaptive
     stopping is deliberately not offered here — max/sigma are

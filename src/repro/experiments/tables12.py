@@ -2,8 +2,7 @@
 
 Table I is the cell library itself; Table II is the Unit's module
 composition.  Both are structured data in :mod:`repro.sfq`; this module
-formats them and computes the bottom-up vs published comparison that
-EXPERIMENTS.md records:
+formats them and computes the bottom-up vs published comparison:
 
 - total JJs: 1705 (cells) + 1472 (wires) = **3177** — exact,
 - total bias current **336 mA**, area **1.274 mm^2**, RSFQ power

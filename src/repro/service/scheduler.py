@@ -289,9 +289,9 @@ class MicroBatchScheduler:
     def _kernel_for(self, spec: SessionSpec):
         """The session's resolved kernel backend (spec overrides the
         scheduler default).  Resolving here means pool keys use the
-        *effective* backend name — ``numba`` falling back on a host
-        without numba shares the ``numpy`` pools instead of shadowing
-        them."""
+        *effective* backend name — ``c`` falling back on a host
+        without a C compiler shares the ``numpy`` pools instead of
+        shadowing them."""
         return resolve_kernel_backend(
             spec.kernel_backend or self.config.kernel_backend
         )

@@ -386,8 +386,8 @@ def main(argv: list[str] | None = None) -> int:
         "--kernel-backend", default=None,
         choices=available_kernel_backends(),
         help="default engine-kernel backend for sessions that do not "
-        "pick one ('numba' falls back to numpy with a warning when "
-        "numba is not installed)",
+        "pick one (default: c, which falls back to numpy with a warning "
+        "when it cannot be built)",
     )
     parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="N",

@@ -4,8 +4,7 @@ The paper sizes one Unit precisely (Table II) and budgets capacity as
 ``2 d (d-1)`` Units per logical qubit, leaving the Row Masters, shared
 Boundary Units and the per-logical-qubit Controller unsized — implicitly
 treating them as negligible.  This module makes that assumption
-checkable (an *extension* beyond the paper, flagged as such in
-EXPERIMENTS.md):
+checkable (an *extension* beyond the paper, not one of its results):
 
 - a **Row Master** holds a token latch, an OR-reduction over its row's
   Reg-occupancy flags and the CurrentRow broadcast: we size it as a

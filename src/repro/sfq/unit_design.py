@@ -14,8 +14,8 @@ recomputes every roll-up bottom-up from the Table I cell library:
 - the published **per-module** JJ subtotals do not all reconcile with
   their own cell counts (e.g. the state machine's cells alone contain
   771 JJs against a published 675) — the comparison helpers surface
-  both numbers so EXPERIMENTS.md can report the discrepancy instead of
-  hiding it.
+  both numbers so reports can show the discrepancy instead of hiding
+  it.
 """
 
 from __future__ import annotations

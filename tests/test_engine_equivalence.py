@@ -26,8 +26,7 @@ from repro.core.reference import ReferenceEngine
 from repro.surface_code.lattice import PlanarLattice
 
 # Every registered backend must drive the array engine through the
-# same observable stream ("numba" resolves to its numpy fallback when
-# numba is absent, so the list is safe to sweep on any host).
+# same observable stream.
 BACKENDS = available_kernel_backends()
 
 

@@ -1,41 +1,47 @@
 """The engine-kernel backend registry and its cross-backend contract.
 
-Registry mechanics (duplicate/unknown names, default resolution, the
-numba fallback path) plus direct kernel-level equivalence checks
-between the numpy backend and the loop backend on random slab states —
-a faster, more targeted complement to the full machine-level
-bit-identity suites (``test_engine_equivalence.py``,
+Registry mechanics (duplicate/unknown names, default resolution), the
+``c`` backend's build cache and its numpy fallback, plus direct
+kernel-level equivalence checks between the numpy and ``c`` backends
+on reachable slab states — a faster, more targeted complement to the
+full machine-level bit-identity suites (``test_engine_equivalence.py``,
 ``test_engine_batch.py``), which also sweep every registered backend.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.core.kernels as kernels
 from repro.core.kernels import (
-    KernelBackend,
     available_kernel_backends,
     default_kernel_backend,
     get_kernel_backend,
-    numba_version,
     register_kernel_backend,
     resolve_kernel_backend,
     warm_up,
 )
+from repro.core.kernels import c_backend
+from repro.core.kernels.numpy_backend import NumpyKernelBackend
+from repro.service.scheduler import MicroBatchScheduler, SchedulerConfig
 from repro.service.session import SessionSpec
+
+SRC = Path(kernels.__file__).resolve().parents[3]
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_kernel_backends()
-        assert "numpy" in names
-        assert "python" in names
-        assert "numba" in names
+        assert set(available_kernel_backends()) == {"numpy", "c"}
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -49,17 +55,19 @@ class TestRegistry:
 
     def test_instances_are_shared(self):
         assert get_kernel_backend("numpy") is get_kernel_backend("numpy")
+        assert get_kernel_backend("c") is get_kernel_backend("c")
 
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_c(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_BACKEND_ENV, raising=False)
         monkeypatch.setattr(kernels, "_default_name", None)
-        assert default_kernel_backend() == "numpy"
+        assert default_kernel_backend() == "c"
+        assert resolve_kernel_backend(None).name == "c"
 
     def test_env_var_overrides_default(self, monkeypatch):
         monkeypatch.setattr(kernels, "_default_name", None)
-        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "python")
-        assert default_kernel_backend() == "python"
-        assert resolve_kernel_backend(None).name == "python"
+        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "numpy")
+        assert default_kernel_backend() == "numpy"
+        assert resolve_kernel_backend(None).name == "numpy"
 
     def test_set_default_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -68,33 +76,112 @@ class TestRegistry:
     def test_resolve_passthrough_and_name(self):
         backend = get_kernel_backend("numpy")
         assert resolve_kernel_backend(backend) is backend
-        assert resolve_kernel_backend("python").name == "python"
+        assert resolve_kernel_backend("c").name == "c"
+        assert resolve_kernel_backend("c").compiled
 
-    def test_numba_fallback_warns_once_per_process(self, monkeypatch):
-        """Without numba, resolving 'numba' warns exactly once and
-        returns the numpy backend; later resolutions are silent (the
-        scheduler constructs engines continuously)."""
-        if numba_version() is not None:
-            pytest.skip("numba importable: the fallback path is dead here")
-        # Re-arm the once-per-process latch and drop the cached instance
-        # so this test observes a fresh first resolution.
+    @pytest.mark.parametrize("name", ["numba", "python"])
+    def test_removed_backends_rejected_at_admission(self, name):
+        """The numba and loop backends are gone: a spec naming one is a
+        bad spec, refused before it reaches the shared tick."""
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            SessionSpec(d=5, p=0.01, seed=1, kernel_backend=name).validate()
+        scheduler = MicroBatchScheduler(SchedulerConfig(max_active=4))
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            scheduler.submit(
+                SessionSpec(d=5, p=0.01, seed=1, kernel_backend=name)
+            )
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            SchedulerConfig(kernel_backend=name)
+
+    def test_warm_up_every_backend(self):
+        """warm_up drives every dispatched kernel on a tiny decode."""
+        for name in available_kernel_backends():
+            assert warm_up(name).name == name
+
+
+class TestCBuild:
+    def test_fallback_without_compiler_warns_once(self, monkeypatch, tmp_path):
+        """With no compiler (and nothing cached), resolving 'c' warns
+        exactly once, hands out the numpy backend, and decodes
+        bit-identically to the compiled kernels; later resolutions are
+        silent (the scheduler constructs engines continuously)."""
+        compiled = get_kernel_backend("c")
+        assert compiled.name == "c"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(c_backend, "COMPILER", "no-such-cc-on-path")
         monkeypatch.setattr(kernels, "_warned_fallback", set())
-        monkeypatch.setitem(kernels._instances, "numba", None)
-        kernels._instances.pop("numba", None)
-        with pytest.warns(UserWarning, match="falling back"):
-            backend = get_kernel_backend("numba")
+        monkeypatch.delitem(kernels._instances, "c")
+        with pytest.warns(UserWarning, match="falling back") as caught:
+            backend = get_kernel_backend("c")
+        assert len(caught) == 1
         assert backend.name == "numpy"
         assert backend is get_kernel_backend("numpy")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            again = get_kernel_backend("numba")
-        assert again is backend
+            assert get_kernel_backend("c") is backend
+            assert _drain_outputs("c") == _drain_outputs(compiled)
+        assert not any(tmp_path.rglob("*.so")), "nothing was built"
 
-    def test_warm_up_every_backend(self):
-        """warm_up drives every dispatched kernel on a tiny decode —
-        the CI JIT-cache priming entry point must work on all hosts."""
-        for name in ("numpy", "python"):
-            assert isinstance(warm_up(name), KernelBackend)
+    def test_fresh_process_reuses_cached_library(self, tmp_path):
+        """A second process loads the cached library and ffi module
+        instead of building them: it runs with no compiler on PATH and
+        still gets the ``c`` backend, and the cached files are
+        untouched (no leftover temporaries either)."""
+        probe = (
+            "import warnings; warnings.simplefilter('error');"
+            "from repro.core.kernels import get_kernel_backend;"
+            "from repro.core.kernels.c_backend import library_path;"
+            "print(get_kernel_backend('c').name, library_path())"
+        )
+        env = dict(
+            os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(SRC)
+        )
+
+        def run(path_var):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True,
+                text=True, env=dict(env, PATH=path_var), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            name, lib = proc.stdout.split()
+            return name, Path(lib)
+
+        name, lib = run(os.environ.get("PATH", ""))
+        assert name == "c" and lib.parent == tmp_path / "repro-qecool"
+        built = [lib, lib.with_suffix(".py")]
+        assert sorted(lib.parent.iterdir()) == sorted(built)
+        before = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in built]
+        empty = tmp_path / "empty-bin"
+        empty.mkdir()
+        assert run(str(empty)) == ("c", lib)
+        assert sorted(lib.parent.iterdir()) == sorted(built)
+        after = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in built]
+        assert after == before
+
+
+def _drain_outputs(backend, d=5, shots=6, seed=3):
+    """Matches, per-layer cycles and totals of a small batch drain."""
+    from repro.core.engine_batch import QecoolEngineBatch
+    from repro.surface_code.lattice import PlanarLattice
+
+    lattice = PlanarLattice(d)
+    rng = np.random.default_rng(seed)
+    batch = QecoolEngineBatch(
+        lattice, capacity=shots, kernel_backend=backend
+    )
+    lanes = np.asarray([batch.alloc_lane() for _ in range(shots)])
+    for _ in range(d + 1):
+        batch.push_layers(
+            lanes,
+            (rng.random((shots, lattice.n_ancillas)) < 0.1).astype(np.uint8),
+        )
+    batch.begin_drain(lanes)
+    batch.run_to_idle(lanes)
+    return [
+        (batch.matches_of(lane), batch.layer_cycles_of(lane),
+         batch.cycles_of(lane))
+        for lane in lanes.tolist()
+    ]
 
 
 def _slab_state(seed, d=5, n_lanes=3, density=0.2):
@@ -119,15 +206,62 @@ def _slab_state(seed, d=5, n_lanes=3, density=0.2):
     return batch, lanes, rng
 
 
+def _fresh(args):
+    """A private copy of a kernel call's arguments (slabs included); the
+    trailing ``Geometry`` is the engines' shared, read-only one."""
+    return copy.deepcopy(args[:-1]) + args[-1:]
+
+
+class _Recorder(NumpyKernelBackend):
+    """The numpy backend, keeping a copy of every survey and commit-scan
+    call's inputs as the engine reaches them."""
+
+    def __init__(self):
+        self.surveys, self.commits = [], []
+
+    def survey_need(self, *args):
+        self.surveys.append(_fresh(args))
+        return super().survey_need(*args)
+
+    def commit_scan(self, *args):
+        self.commits.append(_fresh(args))
+        return super().commit_scan(*args)
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded(seed, d=7, shots=8, density=0.06):
+    """Survey and commit-scan inputs of a real batch drain."""
+    from repro.core.engine_batch import QecoolEngineBatch
+    from repro.surface_code.lattice import PlanarLattice
+
+    lattice = PlanarLattice(d)
+    rng = np.random.default_rng(seed)
+    recorder = _Recorder()
+    batch = QecoolEngineBatch(
+        lattice, capacity=shots, kernel_backend=recorder
+    )
+    lanes = np.asarray([batch.alloc_lane() for _ in range(shots)])
+    for _ in range(d + 1):
+        batch.push_layers(
+            lanes,
+            (rng.random((shots, lattice.n_ancillas)) < density).astype(
+                np.uint8
+            ),
+        )
+    batch.begin_drain(lanes)
+    batch.run_to_idle(lanes)
+    assert recorder.surveys and recorder.commits
+    return recorder
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestKernelLevelEquivalence:
-    """numpy vs loop kernels on identical reachable slab states."""
+    """numpy vs c kernels on identical reachable slab states."""
 
     def test_race_and_valid_entries(self, seed):
         batch, lanes, rng = _slab_state(seed)
         npb = get_kernel_backend("numpy")
-        pyb = get_kernel_backend("python")
-        n = batch.lattice.n_ancillas
+        cb = get_kernel_backend("c")
         masks = batch._masks
         # The race contract: unique (lane, sink, base) triples whose
         # sink holds the base bit — exactly the triples the engines'
@@ -141,20 +275,26 @@ class TestKernelLevelEquivalence:
         if not len(s):
             pytest.skip("no events at this seed")
         got_np = npb.race(masks, s, i, b, batch._geo)
-        got_py = pyb.race(masks, s, i, b, batch._geo)
-        np.testing.assert_array_equal(got_np, got_py)
+        got_c = cb.race(masks, s, i, b, batch._geo)
+        np.testing.assert_array_equal(got_np, got_c)
         entries = got_np.copy()
         # Poison some entries so both validity branches are exercised.
         entries[::3] = -1
         v_np = npb.valid_entries(entries, masks, s, i, b, batch._geo)
-        v_py = pyb.valid_entries(entries, masks, s, i, b, batch._geo)
-        np.testing.assert_array_equal(v_np, v_py)
+        v_c = cb.valid_entries(entries, masks, s, i, b, batch._geo)
+        np.testing.assert_array_equal(v_np, v_c)
+        # Stale winners (their target event cleared) must read invalid.
+        cleared = masks.copy()
+        cleared[s, i] = 0
+        np.testing.assert_array_equal(
+            npb.valid_entries(got_np, cleared, s, i, b, batch._geo),
+            cb.valid_entries(got_np, cleared, s, i, b, batch._geo),
+        )
 
     def test_winners_bulk(self, seed):
         batch, lanes, rng = _slab_state(seed)
         npb = get_kernel_backend("numpy")
-        pyb = get_kernel_backend("python")
-        n = batch.lattice.n_ancillas
+        cb = get_kernel_backend("c")
         masks1 = batch._masks[0]
         live = np.flatnonzero(masks1).astype(np.int64)
         if not live.size:
@@ -170,38 +310,140 @@ class TestKernelLevelEquivalence:
             dtype=np.int64,
         )
         got_np = npb.winners_bulk(masks1, live, sinks, bases, batch._geo)
-        got_py = pyb.winners_bulk(masks1, live, sinks, bases, batch._geo)
-        np.testing.assert_array_equal(got_np, got_py)
+        got_c = cb.winners_bulk(masks1, live, sinks, bases, batch._geo)
+        np.testing.assert_array_equal(got_np, got_c)
+
+    def test_survey_need(self, seed):
+        """Same exact minima and dirty marks on every survey of a real
+        drain; any winner the c kernel (re-)raced is the true winner
+        (stale entries it left alone are allowed to differ)."""
+        npb = get_kernel_backend("numpy")
+        cb = get_kernel_backend("c")
+        for call in _recorded(seed).surveys:
+            masks, win, dirty, s, i, b, pos, n_top, geo = _fresh(call)
+            win_c, dirty_c = win.copy(), dirty.copy()
+            need_np = npb.survey_need(
+                masks, win, dirty, s, i, b, pos, n_top, geo
+            )
+            need_c = cb.survey_need(
+                masks, win_c, dirty_c, s, i, b, pos, n_top, geo
+            )
+            np.testing.assert_array_equal(need_np, need_c)
+            np.testing.assert_array_equal(dirty, dirty_c)
+            before = call[1][s, i, b]
+            touched = win_c[s, i, b] != before
+            np.testing.assert_array_equal(
+                win_c[s, i, b][touched],
+                npb.race(masks, s[touched], i[touched], b[touched], geo),
+            )
+
+    def test_commit_scan(self, seed):
+        """Every record, charge and winner-slab write of every commit
+        scan of a real drain is identical."""
+        npb = get_kernel_backend("numpy")
+        cb = get_kernel_backend("c")
+        for call in _recorded(seed).commits:
+            args_np, args_c = _fresh(call), _fresh(call)
+            got_np = npb.commit_scan(*args_np)
+            got_c = cb.commit_scan(*args_c)
+            for field, a, c in zip(got_np._fields, got_np, got_c):
+                assert a.dtype == c.dtype, field
+                np.testing.assert_array_equal(a, c, err_msg=field)
+            np.testing.assert_array_equal(args_np[1], args_c[1])
 
     def test_exposed_any_and_charge_empty(self, seed):
         batch, lanes, rng = _slab_state(seed)
         npb = get_kernel_backend("numpy")
-        pyb = get_kernel_backend("python")
+        cb = get_kernel_backend("c")
         sel = lanes
         exposed = rng.integers(0, 4, len(sel))
         got_np = npb.exposed_any(batch._masks, sel, exposed)
-        got_py = pyb.exposed_any(batch._masks, sel, exposed)
-        np.testing.assert_array_equal(got_np, got_py)
+        got_c = cb.exposed_any(batch._masks, sel, exposed)
+        np.testing.assert_array_equal(got_np, got_c)
         cycles = rng.integers(0, 100, 8).astype(np.int64)
         popped = rng.integers(0, 5, 8).astype(np.int64)
         calp = np.minimum(cycles, rng.integers(0, 50, 8)).astype(np.int64)
         lanes_c = np.asarray([1, 4, 6], dtype=np.int64)
         state_np = (cycles.copy(), popped.copy(), calp.copy())
-        state_py = (cycles.copy(), popped.copy(), calp.copy())
+        state_c = (cycles.copy(), popped.copy(), calp.copy())
         d_np = npb.charge_empty(*state_np, lanes_c, 11)
-        d_py = pyb.charge_empty(*state_py, lanes_c, 11)
-        np.testing.assert_array_equal(d_np, d_py)
-        for a, b in zip(state_np, state_py):
+        d_c = cb.charge_empty(*state_c, lanes_c, 11)
+        np.testing.assert_array_equal(d_np, d_c)
+        for a, b in zip(state_np, state_c):
             np.testing.assert_array_equal(a, b)
+
+
+def test_full_register_edge_depths():
+    """Reg bit 63 (a Reg holding all 64 layers) and validity shifts that
+    would pass it: the c kernels mirror the numpy clip and shifts, since
+    a C shift by 64 or more is undefined."""
+    from repro.core.engine import _kernel_geometry
+    from repro.surface_code.lattice import PlanarLattice
+
+    geo = _kernel_geometry(PlanarLattice(5))
+    n, radix = len(geo.bpacked), geo.radix
+    rng = np.random.default_rng(9)
+    bits = rng.random((2, n, 64)) < 0.2
+    bits[:, :, 63] |= rng.random((2, n)) < 0.5
+    masks = (bits.astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum(
+        axis=2, dtype=np.uint64
+    )
+    npb, cb = get_kernel_backend("numpy"), get_kernel_backend("c")
+    s, i = np.nonzero(masks >> np.uint64(63))
+    b = np.full(len(s), 63, dtype=np.int64)
+    np.testing.assert_array_equal(
+        npb.race(masks, s, i, b, geo), cb.race(masks, s, i, b, geo)
+    )
+    # Present entries whose target depth b + t_rel runs to and past 63.
+    m = 400
+    s = rng.integers(0, 2, m)
+    i = rng.integers(0, n, m)
+    b = rng.integers(50, 64, m)
+    src1 = rng.integers(0, radix, m)
+    t_rel = rng.integers(0, 20, m)
+    entries = src1 + radix * (t_rel + 128 * rng.integers(0, 50, m))
+    np.testing.assert_array_equal(
+        npb.valid_entries(entries, masks, s, i, b, geo),
+        cb.valid_entries(entries, masks, s, i, b, geo),
+    )
+    sel = np.asarray([0, 1, 0, 1], dtype=np.int64)
+    exposed = np.asarray([60, 61, 62, 63], dtype=np.int64)
+    np.testing.assert_array_equal(
+        npb.exposed_any(masks, sel, exposed),
+        cb.exposed_any(masks, sel, exposed),
+    )
+
+
+class TestCInputChecks:
+    def test_rejects_slabs_it_cannot_write_through(self):
+        batch, lanes, _ = _slab_state(0)
+        cb = get_kernel_backend("c")
+        cycles = np.zeros(8, dtype=np.int32)
+        zeros = np.zeros(8, dtype=np.int64)
+        with pytest.raises(TypeError, match="C-contiguous int64"):
+            cb.charge_empty(cycles, zeros, zeros.copy(), lanes, 1)
+        with pytest.raises(TypeError, match="C-contiguous int64"):
+            cb.charge_empty(
+                np.zeros(16, np.int64)[::2], zeros, zeros.copy(), lanes, 1
+            )
+
+    def test_rejects_mismatched_lengths_and_lattices(self):
+        batch, lanes, _ = _slab_state(0)
+        cb = get_kernel_backend("c")
+        s = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="expected 3"):
+            cb.race(batch._masks, s, s[:2], s, batch._geo)
+        with pytest.raises(ValueError, match="units"):
+            cb.race(batch._masks[:, :-1], s, s, s, batch._geo)
 
 
 class TestSessionSpecBackend:
     def test_round_trips_through_json(self):
-        spec = SessionSpec(d=5, p=0.004, seed=11, kernel_backend="python")
+        spec = SessionSpec(d=5, p=0.004, seed=11, kernel_backend="c")
         payload = json.loads(json.dumps(spec.to_payload()))
         back = SessionSpec.from_payload(payload)
         assert back == spec
-        assert back.kernel_backend == "python"
+        assert back.kernel_backend == "c"
 
     def test_default_is_none(self):
         spec = SessionSpec(d=5, p=0.004, seed=11)
@@ -219,5 +461,5 @@ class TestSessionSpecBackend:
         SessionSpec(d=5, p=0.004, seed=11, kernel_backend="numpy").validate()
 
     def test_online_config_carries_backend(self):
-        spec = SessionSpec(d=5, p=0.004, seed=11, kernel_backend="python")
-        assert spec.online_config().kernel_backend == "python"
+        spec = SessionSpec(d=5, p=0.004, seed=11, kernel_backend="c")
+        assert spec.online_config().kernel_backend == "c"

@@ -150,8 +150,7 @@ class TestSchedulerBitIdentity:
     def test_sessions_bit_identical_across_kernel_backends(self):
         """The same seed decodes to the same matches, cycles and
         failure verdict whatever kernel backend the session (or the
-        scheduler default) picks — including 'numba', which falls back
-        to numpy on hosts without it."""
+        scheduler default) picks."""
         from repro.core.kernels import available_kernel_backends
 
         def run(backend):
@@ -185,16 +184,7 @@ class TestSchedulerBitIdentity:
 
         baseline = run(None)
         for backend in available_kernel_backends():
-            if backend == "numba":
-                # Resolving 'numba' without numba warns (by design);
-                # keep this test warning-clean on either kind of host.
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    assert run(backend) == baseline
-            else:
-                assert run(backend) == baseline
+            assert run(backend) == baseline
 
     def test_recycled_engines_stay_bit_identical(self):
         """Back-to-back dense sessions of one shape reuse batch-engine
