@@ -263,40 +263,16 @@ class TestLaneForLaneIdentity:
         """Unconstrained streams across the full shape grid, pinned by
         both the scalar engine and the literal ReferenceEngine — on
         every registered kernel backend."""
-        lattice = LATTICES[d]
-        rng = np.random.default_rng(100 * d + thv + (0 if reg is None else reg))
-        n_shots, n_rounds = 4, 5
-        streams = [
-            (rng.random((n_rounds, lattice.n_ancillas)) < 0.15).astype(np.uint8)
-            for _ in range(n_shots)
-        ]
-        batch = QecoolEngineBatch(
-            lattice, thv=thv, reg_size=reg, capacity=n_shots,
-            kernel_backend=kernel_backend,
-        )
-        lanes = []
-        refs = []
-        for stream in streams:
-            bs = BatchStream(batch, None)
-            ref = ReferenceEngine(lattice, thv=thv, reg_size=reg)
-            ref_dead = False
-            for k, row in enumerate(stream):
-                final = k == len(stream) - 1
-                bs.step(k, row, final)
-                if not ref_dead:
-                    if not ref.push_layer(row):
-                        ref_dead = True
-                    else:
-                        if final:
-                            ref.begin_drain()
-                        ref.advance()
-            lanes.append(bs)
-            refs.append((ref, ref_dead))
-        for i, (bs, (ref, ref_dead)) in enumerate(zip(lanes, refs)):
-            assert bs.overflowed == ref_dead, f"shot {i}"
-            assert batch.matches_of(bs.lane) == ref.matches, f"shot {i}"
-            assert batch.layer_cycles_of(bs.lane) == ref.layer_cycles, f"shot {i}"
-            assert batch.cycles_of(bs.lane) == ref.cycles, f"shot {i}"
+        _dense_drain_case(LATTICES[d], thv, reg, kernel_backend)
+
+    @pytest.mark.parametrize("kernel_backend", BACKENDS)
+    @pytest.mark.parametrize("d", [9, 13])
+    @pytest.mark.parametrize("thv,reg", [(-1, None), (3, 7)])
+    def test_dense_drain_table4_distances(self, d, thv, reg, kernel_backend):
+        """The same pinning on the larger Table IV lattices (d = 13 is
+        the threshold benchmark's), whose packed race keys use a wider
+        radix than the d <= 7 grid above."""
+        _dense_drain_case(PlanarLattice(d), thv, reg, kernel_backend)
 
     def test_lane_alloc_free_errors(self, d5):
         batch = QecoolEngineBatch(d5, capacity=2)
@@ -318,3 +294,43 @@ class TestLaneForLaneIdentity:
             QecoolEngineBatch(d5, reg_size=0)
         with pytest.raises(ValueError):
             QecoolEngineBatch(d5, capacity=0)
+
+
+def _dense_drain_case(lattice, thv, reg, kernel_backend):
+    """Four unconstrained shots on one batch, each lane pinned by the
+    literal ReferenceEngine: overflow verdicts, matches, per-layer and
+    total cycles."""
+    d = lattice.d
+    rng = np.random.default_rng(100 * d + thv + (0 if reg is None else reg))
+    n_shots, n_rounds = 4, 5
+    streams = [
+        (rng.random((n_rounds, lattice.n_ancillas)) < 0.15).astype(np.uint8)
+        for _ in range(n_shots)
+    ]
+    batch = QecoolEngineBatch(
+        lattice, thv=thv, reg_size=reg, capacity=n_shots,
+        kernel_backend=kernel_backend,
+    )
+    lanes = []
+    refs = []
+    for stream in streams:
+        bs = BatchStream(batch, None)
+        ref = ReferenceEngine(lattice, thv=thv, reg_size=reg)
+        ref_dead = False
+        for k, row in enumerate(stream):
+            final = k == len(stream) - 1
+            bs.step(k, row, final)
+            if not ref_dead:
+                if not ref.push_layer(row):
+                    ref_dead = True
+                else:
+                    if final:
+                        ref.begin_drain()
+                    ref.advance()
+        lanes.append(bs)
+        refs.append((ref, ref_dead))
+    for i, (bs, (ref, ref_dead)) in enumerate(zip(lanes, refs)):
+        assert bs.overflowed == ref_dead, f"shot {i}"
+        assert batch.matches_of(bs.lane) == ref.matches, f"shot {i}"
+        assert batch.layer_cycles_of(bs.lane) == ref.layer_cycles, f"shot {i}"
+        assert batch.cycles_of(bs.lane) == ref.cycles, f"shot {i}"

@@ -104,6 +104,20 @@ def test_streaming_equivalence(d, reg_size, thv, seed, kernel_backend):
 
 
 @pytest.mark.parametrize("kernel_backend", BACKENDS)
+@pytest.mark.parametrize("d", [9, 11, 13])
+@pytest.mark.parametrize("reg_size", [None, 7])
+@pytest.mark.parametrize("thv", [-1, 3])
+def test_streaming_equivalence_table4_distances(d, reg_size, thv, kernel_backend):
+    """The larger Table IV distances (d = 13 is the threshold
+    benchmark's lattice): packed race keys with a wider radix
+    (n_ancillas + 1) and longer hop counts than the sweep above."""
+    _random_stream_case(
+        d, reg_size, thv, seed=1000 * d + 10 + (thv > 0),
+        kernel_backend=kernel_backend,
+    )
+
+
+@pytest.mark.parametrize("kernel_backend", BACKENDS)
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("reg_size", [None, 7])
 def test_streaming_equivalence_sync_path(d, reg_size, kernel_backend):

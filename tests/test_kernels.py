@@ -127,20 +127,11 @@ class TestCBuild:
         instead of building them: it runs with no compiler on PATH and
         still gets the ``c`` backend, and the cached files are
         untouched (no leftover temporaries either)."""
-        probe = (
-            "import warnings; warnings.simplefilter('error');"
-            "from repro.core.kernels import get_kernel_backend;"
-            "from repro.core.kernels.c_backend import library_path;"
-            "print(get_kernel_backend('c').name, library_path())"
-        )
-        env = dict(
-            os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(SRC)
-        )
 
         def run(path_var):
+            argv, env = _probe(tmp_path, path_var)
             proc = subprocess.run(
-                [sys.executable, "-c", probe], capture_output=True,
-                text=True, env=dict(env, PATH=path_var), timeout=120,
+                argv, env=env, capture_output=True, text=True, timeout=120
             )
             assert proc.returncode == 0, proc.stderr
             name, lib = proc.stdout.split()
@@ -157,6 +148,120 @@ class TestCBuild:
         assert sorted(lib.parent.iterdir()) == sorted(built)
         after = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in built]
         assert after == before
+
+    def test_concurrent_first_builds_agree(self, tmp_path):
+        """Processes that miss an empty cache together (``--jobs`` and
+        shard workers starting at once) all get the ``c`` backend, and
+        leave one library and one ffi module behind, no temporaries."""
+        argv, env = _probe(tmp_path, os.environ.get("PATH", ""))
+        procs = [
+            subprocess.Popen(
+                argv, env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(3)
+        ]
+        results = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            results.append(tuple(out.split()))
+        (name, lib), = set(results)
+        lib = Path(lib)
+        assert name == "c"
+        assert sorted(lib.parent.iterdir()) == sorted(
+            [lib, lib.with_suffix(".py")]
+        )
+
+    @pytest.mark.parametrize(
+        "part",
+        ["source", "declarations", "flags", "compiler", "machine", "cffi"],
+    )
+    def test_cache_key_covers(self, part, monkeypatch, tmp_path):
+        """The same inputs name the same library (one build per host,
+        not per process); changing anything the build depends on names
+        a new one, so a stale library is never loaded."""
+        import cffi
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        before = c_backend.library_path()
+        assert c_backend.library_path() == before
+        if part == "source":
+            edited = tmp_path / "ckernels.c"
+            edited.write_bytes(c_backend.SOURCE.read_bytes() + b"\n")
+            monkeypatch.setattr(c_backend, "SOURCE", edited)
+        elif part == "declarations":
+            monkeypatch.setattr(c_backend, "CDEF", c_backend.CDEF + "\n")
+        elif part == "flags":
+            monkeypatch.setattr(c_backend, "FLAGS", (*c_backend.FLAGS, "-g"))
+        elif part == "compiler":
+            monkeypatch.setattr(c_backend, "COMPILER", "clang")
+        elif part == "machine":
+            monkeypatch.setattr(
+                c_backend.platform, "machine", lambda: "other-machine"
+            )
+        else:
+            monkeypatch.setattr(cffi, "__version__", cffi.__version__ + "+x")
+        after = c_backend.library_path()
+        assert after != before
+        assert after.parent == before.parent
+
+    @pytest.mark.parametrize("xdg", [None, ""])
+    def test_cache_defaults_to_home(self, xdg, monkeypatch, tmp_path):
+        """An unset or empty ``XDG_CACHE_HOME`` means ``~/.cache``."""
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert c_backend.library_path().parent == (
+            tmp_path / ".cache" / "repro-qecool"
+        )
+
+    @pytest.mark.parametrize(
+        "fault", ["failing-compiler", "corrupt-library", "cache-is-a-file"]
+    )
+    def test_unbuildable_host_falls_back(self, fault, monkeypatch, tmp_path):
+        """A compile error, an unloadable cached library and an unusable
+        cache directory each resolve 'c' to numpy with one warning
+        instead of failing the process; a failed build leaves no
+        library or temporary behind."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        if fault == "failing-compiler":
+            monkeypatch.setattr(c_backend, "COMPILER", "false")
+        elif fault == "corrupt-library":
+            lib = c_backend.library_path()
+            c_backend._write(lib.with_suffix(".py"), c_backend._emit_ffi_module)
+            lib.write_bytes(b"not a shared object")
+        else:
+            cache.write_text("")
+        monkeypatch.setattr(kernels, "_warned_fallback", set())
+        monkeypatch.delitem(kernels._instances, "c", raising=False)
+        with pytest.warns(UserWarning, match="falling back") as caught:
+            backend = get_kernel_backend("c")
+        assert len(caught) == 1
+        assert backend is get_kernel_backend("numpy")
+        if fault == "failing-compiler":
+            left = sorted(p.name for p in cache.rglob("*"))
+            assert not [n for n in left if n.endswith((".so", ".tmp"))], left
+
+
+def _probe(cache, path_var):
+    """``(argv, env)`` for a subprocess that resolves the ``c`` backend
+    against ``cache`` with warnings as errors and prints its name and
+    the library path."""
+    probe = (
+        "import warnings; warnings.simplefilter('error');"
+        "from repro.core.kernels import get_kernel_backend;"
+        "from repro.core.kernels.c_backend import library_path;"
+        "print(get_kernel_backend('c').name, library_path())"
+    )
+    env = dict(
+        os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=str(SRC),
+        PATH=path_var,
+    )
+    return [sys.executable, "-c", probe], env
 
 
 def _drain_outputs(backend, d=5, shots=6, seed=3):
@@ -258,8 +363,11 @@ def _recorded(seed, d=7, shots=8, density=0.06):
 class TestKernelLevelEquivalence:
     """numpy vs c kernels on identical reachable slab states."""
 
+    # Lattice of the mid-decode slab states and of the recorded drains.
+    D_SLAB, D_DRAIN = 5, 7
+
     def test_race_and_valid_entries(self, seed):
-        batch, lanes, rng = _slab_state(seed)
+        batch, lanes, rng = _slab_state(seed, d=self.D_SLAB)
         npb = get_kernel_backend("numpy")
         cb = get_kernel_backend("c")
         masks = batch._masks
@@ -292,7 +400,7 @@ class TestKernelLevelEquivalence:
         )
 
     def test_winners_bulk(self, seed):
-        batch, lanes, rng = _slab_state(seed)
+        batch, lanes, rng = _slab_state(seed, d=self.D_SLAB)
         npb = get_kernel_backend("numpy")
         cb = get_kernel_backend("c")
         masks1 = batch._masks[0]
@@ -319,7 +427,7 @@ class TestKernelLevelEquivalence:
         (stale entries it left alone are allowed to differ)."""
         npb = get_kernel_backend("numpy")
         cb = get_kernel_backend("c")
-        for call in _recorded(seed).surveys:
+        for call in _recorded(seed, d=self.D_DRAIN).surveys:
             masks, win, dirty, s, i, b, pos, n_top, geo = _fresh(call)
             win_c, dirty_c = win.copy(), dirty.copy()
             need_np = npb.survey_need(
@@ -342,7 +450,7 @@ class TestKernelLevelEquivalence:
         scan of a real drain is identical."""
         npb = get_kernel_backend("numpy")
         cb = get_kernel_backend("c")
-        for call in _recorded(seed).commits:
+        for call in _recorded(seed, d=self.D_DRAIN).commits:
             args_np, args_c = _fresh(call), _fresh(call)
             got_np = npb.commit_scan(*args_np)
             got_c = cb.commit_scan(*args_c)
@@ -352,7 +460,7 @@ class TestKernelLevelEquivalence:
             np.testing.assert_array_equal(args_np[1], args_c[1])
 
     def test_exposed_any_and_charge_empty(self, seed):
-        batch, lanes, rng = _slab_state(seed)
+        batch, lanes, rng = _slab_state(seed, d=self.D_SLAB)
         npb = get_kernel_backend("numpy")
         cb = get_kernel_backend("c")
         sel = lanes
@@ -371,6 +479,14 @@ class TestKernelLevelEquivalence:
         np.testing.assert_array_equal(d_np, d_c)
         for a, b in zip(state_np, state_c):
             np.testing.assert_array_equal(a, b)
+
+
+class TestKernelLevelEquivalenceD13(TestKernelLevelEquivalence):
+    """The same checks on the d = 13 lattice, the threshold benchmark's:
+    its packed race keys have the widest radix (n_ancillas + 1) the
+    Table IV sweep reaches."""
+
+    D_SLAB = D_DRAIN = 13
 
 
 def test_full_register_edge_depths():
