@@ -65,7 +65,7 @@ from repro.core.engine import (
     _packed_boundaries_arr,
     QecoolEngine,
 )
-from repro.core.kernels import resolve_kernel_backend
+from repro.core.kernels import ControllerSlabs, resolve_kernel_backend
 from repro.core.spike import PRIORITY_WEST, port_table
 from repro.decoders.base import BOUNDARY_EAST, BOUNDARY_WEST
 from repro.surface_code.lattice import PlanarLattice
@@ -534,12 +534,81 @@ class QecoolEngineBatch:
         df: np.ndarray,
         status: np.ndarray,
     ) -> None:
-        """The Controller while-loop for lanes at a clean iteration start.
+        """The Controller while-loop for lanes at a clean iteration
+        start: the backend's compiled Controller when it has one, else
+        the lock-step numpy phases (the reference)."""
+        if self._kernel.controller is None:
+            self._lockstep_loop(top, wf, df, status)
+        else:
+            self._controller_loop(top, wf, df, status)
+
+    def _controller_loop(
+        self,
+        top: np.ndarray,
+        wf: np.ndarray,
+        df: np.ndarray,
+        status: np.ndarray,
+    ) -> None:
+        """One compiled Controller call per pass over ``top``.
+
+        The kernel advances each lane until it parks, retires or
+        suspends, and stops a lane where the lock-step loop would take
+        the exact per-action walk (a deadline-threatened or non-exact
+        wall), returning the cursor :meth:`_resume_lane` continues
+        from; lanes the walk brings back to a clean top join the next
+        pass.  Match and layer-cycle records are applied before any
+        walk, so per-lane order is the scalar one.
+        """
+        cols = self.lattice.cols
+        matches, layer_cycles = self._matches, self._layer_cycles
+        while top.size:
+            slabs = ControllerSlabs(
+                self._masks, self._m, self._l0, self._popped, self._cycles,
+                self._cycles_at_last_pop, self._row_counts, self._budget,
+                self._stall, self._parked, self._win, self._win_dirty,
+                self._drain, self._wall_exact,
+            )
+            run = self._kernel.controller(
+                slabs, self.thv, self.nlimit, self._stall_limit, top,
+                wf, df, status, self._geo,
+            )
+            for lane, u, t1, u2, t2, port in zip(*run.matches.tolist()):
+                r, c = divmod(u, cols)
+                if u2 < 0:
+                    side = (
+                        BOUNDARY_WEST if port == PRIORITY_WEST
+                        else BOUNDARY_EAST
+                    )
+                    match = _fast_match("boundary", (r, c, t1), None, side)
+                else:
+                    match = _fast_match(
+                        "pair", (r, c, t1), (u2 // cols, u2 % cols, t2), None
+                    )
+                matches[lane].append(match)
+            for lane, delta in zip(*run.pops.tolist()):
+                layer_cycles[lane].append(delta)
+            back: list[int] = []
+            for lane, cursor in run.handoffs:
+                self._cursors[lane] = cursor
+                if cursor[0] != "top" and self._resume_lane(
+                    lane, wf, df, status
+                ):
+                    back.append(lane)
+            top = np.asarray(back, dtype=np.int64)
+
+    def _lockstep_loop(
+        self,
+        top: np.ndarray,
+        wf: np.ndarray,
+        df: np.ndarray,
+        status: np.ndarray,
+    ) -> None:
+        """The reference Controller loop, every phase vectorized over
+        the lanes still running it.
 
         MIRROR of ``QecoolEngine.run`` / ``run_to_idle``: pops, the
         drain-return check, the survey, the analytic budget skip, one
-        real sweep, the budget bump and the stall guard — each phase
-        vectorized over the lanes still running it.
+        real sweep, the budget bump and the stall guard.
         """
         while top.size:
             progressed = np.zeros(self.capacity, dtype=bool)
@@ -567,7 +636,7 @@ class QecoolEngineBatch:
                 if not top.size:
                     break
             top, b_max = self._phase_analytic(
-                top, b_max, n_sinks, need, wf, df, status
+                top, b_max, n_sinks, need, wf, df, status, progressed
             )
             if not top.size:
                 break
@@ -766,6 +835,7 @@ class QecoolEngineBatch:
         wf: np.ndarray,
         df: np.ndarray,
         status: np.ndarray,
+        progressed: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Account the provably-fruitless sweeps below ``need`` without
         simulating them: wall-clock-only charges, one per skipped budget
@@ -802,7 +872,7 @@ class QecoolEngineBatch:
             lane = int(top[pos])
             crossed = self._analytic_steps(
                 lane, int(budget[pos]), int(target[pos]), int(n_sinks[pos]),
-                int(overhead[j]), int(b_max[pos]), wf, df,
+                int(b_max[pos]), bool(progressed[lane]), wf, df,
             )
             if crossed:
                 status[lane] = LANE_SUSPENDED
@@ -818,13 +888,23 @@ class QecoolEngineBatch:
         budget: int,
         target: int,
         n_sinks: int,
-        overhead: int,
         b_max: int,
+        progressed: bool,
         wf: np.ndarray,
         df: np.ndarray,
     ) -> bool:
         """Per-level analytic charges for one deadline-threatened lane;
-        freezes an ``("analytic", ...)`` cursor on crossing."""
+        freezes an ``("analytic", cl_next, target, n_sinks, b_max,
+        progressed)`` cursor on crossing.
+
+        The per-level sweep overhead is re-evaluated from the lane's
+        row occupancy whenever the charges (re)start, as the scalar
+        generator re-evaluates ``_sweep_overhead`` after every yield:
+        layers pushed while the lane was suspended change it.
+        """
+        overhead = int(
+            (b_max + 1) * self._row_scan_cost(np.asarray([lane]))[0]
+        )
         wall = float(wf[lane])
         deadline = float(df[lane])
         for cl in range(budget, target):
@@ -833,7 +913,7 @@ class QecoolEngineBatch:
                 wf[lane] = wall
                 self._budget[lane] = target
                 self._cursors[lane] = (
-                    "analytic", cl + 1, target, n_sinks, overhead, b_max,
+                    "analytic", cl + 1, target, n_sinks, b_max, progressed,
                 )
                 return True
         wf[lane] = wall
@@ -1341,25 +1421,14 @@ class QecoolEngineBatch:
         if kind == "top":
             return True
         if kind == "analytic":
-            _, cl_next, target, n_sinks, overhead, b_max = cursor
-            wall = float(wf[lane])
-            deadline = float(df[lane])
-            crossed = False
-            for cl in range(cl_next, target):
-                wall += overhead + n_sinks * (2 * cl + 2)
-                if wall >= deadline:
-                    self._cursors[lane] = (
-                        "analytic", cl + 1, target, n_sinks, overhead, b_max,
-                    )
-                    crossed = True
-                    break
-            wf[lane] = wall
-            self._budget[lane] = target
-            if crossed:
+            _, cl_next, target, n_sinks, b_max, progressed = cursor
+            if self._analytic_steps(
+                lane, cl_next, target, n_sinks, b_max, progressed, wf, df
+            ):
                 status[lane] = LANE_SUSPENDED
                 return False
             return self._walk_sweep(
-                lane, b_max, 0, None, 0, 0, False, False, False,
+                lane, b_max, 0, None, 0, 0, False, False, progressed,
                 wf, df, status,
             )
         # kind == "sweep": (tag, budget, hits, r, pos, charged,

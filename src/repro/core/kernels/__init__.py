@@ -40,6 +40,8 @@ import numpy as np
 
 __all__ = [
     "CommitScan",
+    "ControllerRun",
+    "ControllerSlabs",
     "Geometry",
     "KernelBackend",
     "available_kernel_backends",
@@ -101,6 +103,35 @@ class CommitScan(NamedTuple):
     clear_bits: np.ndarray  # uint64 bit masks to clear
 
 
+class ControllerSlabs(NamedTuple):
+    """The batch engine state :meth:`KernelBackend.controller` advances:
+    full-capacity slabs indexed by lane (``QecoolEngineBatch`` layout)."""
+
+    masks: np.ndarray               # (S, N) uint64 Regs
+    m: np.ndarray                   # (S,) int64 layers stored
+    l0: np.ndarray                  # (S,) int64 layer-0 events
+    popped: np.ndarray              # (S,) int64 layers shifted out
+    cycles: np.ndarray              # (S,) int64 busy clock
+    cycles_at_last_pop: np.ndarray  # (S,) int64
+    row_counts: np.ndarray          # (S, rows) int64 live Units per row
+    budget: np.ndarray              # (S,) int64 Controller hop budget
+    stall: np.ndarray               # (S,) int64 no-progress iterations
+    parked: np.ndarray              # (S,) bool
+    win: np.ndarray                 # (S, N, L) int64 winner slab
+    win_dirty: np.ndarray           # (S,) bool
+    drain: np.ndarray               # (S,) bool (read only)
+    wall_exact: np.ndarray          # (S,) bool (read only)
+
+
+class ControllerRun(NamedTuple):
+    """Records of one :meth:`KernelBackend.controller` call."""
+
+    matches: np.ndarray  # (6, k): lane, unit, depth, unit2 (-1 = boundary),
+    #                      depth2, port; per-lane commit order
+    pops: np.ndarray     # (2, k): lane, layer-cycle delta; per-lane order
+    handoffs: list       # (lane, cursor) for lanes needing the exact walk
+
+
 class KernelBackend:
     """One set of engine hot-kernel implementations.
 
@@ -115,6 +146,13 @@ class KernelBackend:
     name: str = "?"
     #: True when the backend runs machine-compiled kernels.
     compiled: bool = False
+
+    #: Optional whole-Controller kernel, ``controller(slabs, thv,
+    #: nlimit, stall_limit, lanes, wall, deadline, status, geo) ->
+    #: ControllerRun`` (see ``CKernelBackend.controller``).  ``None``
+    #: makes the batch engine run its lock-step numpy phases, the
+    #: reference Controller.
+    controller = None
 
     def race(self, masks, s, i, b, geo: Geometry) -> np.ndarray:
         """Packed race winners for ``(lane, sink, base)`` triples."""
@@ -139,8 +177,8 @@ class KernelBackend:
     ) -> CommitScan:
         """The commit-level conflict scan: resolve one base-depth
         sub-sweep's matchable hits per lane (consumed-hit skips,
-        post-commit re-races, timeout-lump adjustment, late row
-        clears), returning all observable mutations as records."""
+        post-commit re-races, late row clears), returning all
+        observable mutations as records."""
         raise NotImplementedError
 
     def winners_bulk(self, masks, live, sinks, bases, geo: Geometry) -> np.ndarray:

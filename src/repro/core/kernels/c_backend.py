@@ -1,6 +1,8 @@
 """The ``c`` kernel backend: the engine hot kernels compiled from C.
 
-``ckernels.c`` (next to this module) holds all seven kernels.  The
+``ckernels.c`` (next to this module) holds all eight kernels: the
+seven every backend implements and the batch engine's whole Controller
+loop (:meth:`CKernelBackend.controller`).  The
 first resolution of the backend on a host builds two files into
 ``$XDG_CACHE_HOME/repro-qecool/`` (else ``~/.cache/repro-qecool/``),
 both named by a hash of the C source, its declarations, the compile
@@ -40,7 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.kernels import CommitScan, Geometry, KernelBackend
+from repro.core.kernels import (
+    CommitScan,
+    ControllerRun,
+    ControllerSlabs,
+    Geometry,
+    KernelBackend,
+)
 
 __all__ = ["BuildError", "CKernelBackend", "library_path", "load"]
 
@@ -80,7 +88,24 @@ void exposed_any(const uint64_t *, int64_t, const int64_t *,
                  const int64_t *, int64_t, uint8_t *);
 void charge_empty(int64_t *, int64_t *, int64_t *, const int64_t *,
                   int64_t, int64_t, int64_t *);
+int controller(const geometry *, int64_t, int64_t, int64_t, uint64_t *,
+               int64_t *, int64_t *, int64_t *, int64_t *, int64_t *,
+               int64_t *, int64_t *, int64_t *, uint8_t *, int64_t *,
+               int64_t, uint8_t *, const uint8_t *, const uint8_t *,
+               double *, const double *, const int64_t *, int64_t,
+               int8_t *, int64_t *, int64_t, int64_t *, int64_t,
+               int64_t *, int64_t *);
 """
+
+# Handoff kinds and error codes of ``controller`` (HO_* / CTL_* there).
+_HO_TOP, _HO_ANALYTIC = 0, 1
+_HO_FIELDS = 7
+_CTL_ERRORS = {
+    -1: "drain stalled with no defects but layers left",
+    -2: "QECOOL engine made no progress over a full budget cycle —"
+    " matching policy bug",
+    -3: "controller record buffer overflow",
+}
 
 
 class BuildError(RuntimeError):
@@ -180,7 +205,7 @@ _u64 = np.uint64
 
 
 class CKernelBackend(KernelBackend):
-    """The seven engine kernels as compiled C (``ckernels.c``)."""
+    """The engine kernels as compiled C (``ckernels.c``)."""
 
     name = "c"
     compiled = True
@@ -193,6 +218,8 @@ class CKernelBackend(KernelBackend):
             np.dtype(_i64): self._ffi.typeof("int64_t[]"),
             np.dtype(_u64): self._ffi.typeof("uint64_t[]"),
             np.dtype(bool): self._ffi.typeof("uint8_t[]"),
+            np.dtype(np.int8): self._ffi.typeof("int8_t[]"),
+            np.dtype(np.float64): self._ffi.typeof("double[]"),
         }
         # Geometry structs per Geometry object, holding the buffers
         # they point into; Geometry objects are lru-cached per lattice
@@ -339,3 +366,71 @@ class CKernelBackend(KernelBackend):
             self._in(lanes), m, int(cost), self._buf(deltas),
         )
         return deltas
+
+    def controller(
+        self, slabs: ControllerSlabs, thv, nlimit, stall_limit, lanes,
+        wall, deadline, status, geo: Geometry,
+    ) -> ControllerRun:
+        """Run the batch engine's Controller loop for ``lanes`` (at a
+        clean Controller top) in one call, lane by lane, until each
+        parks, retires, suspends or needs the engine's exact walk.
+
+        Writes every slab of ``slabs`` except ``drain`` and
+        ``wall_exact`` in place, plus ``wall`` and ``status``
+        (full-capacity, indexed by lane; ``deadline`` likewise).
+        Handed-off lanes keep status ``-1`` and come back as
+        ``(lane, cursor)`` with the engine's ``("top",)``,
+        ``("analytic", ...)`` or ``("sweep", ...)`` cursor.  Raises
+        ``RuntimeError`` on a drain stall or a no-progress stall, as
+        the lock-step loop does.
+        """
+        check = _check
+        lanes = np.ascontiguousarray(lanes, _i64)
+        n_lanes = len(lanes)
+        # A match consumes at least one event bit, a pop one layer.
+        match_cap = max(1, int(np.bitwise_count(slabs.masks[lanes]).sum()))
+        pop_cap = max(1, int(slabs.m[lanes].sum()))
+        match_rec = np.empty((6, match_cap), _i64)
+        pop_rec = np.empty((2, pop_cap), _i64)
+        handoff = np.empty((max(1, n_lanes), _HO_FIELDS), _i64)
+        counts = np.empty(3, _i64)
+        buf = self._buf
+        rc = self._lib.controller(
+            self._geo(geo), int(thv), int(nlimit), int(stall_limit),
+            buf(check(slabs.masks, _u64)), buf(check(slabs.m, _i64)),
+            buf(check(slabs.l0, _i64)), buf(check(slabs.popped, _i64)),
+            buf(check(slabs.cycles, _i64)),
+            buf(check(slabs.cycles_at_last_pop, _i64)),
+            buf(check(slabs.row_counts, _i64)),
+            buf(check(slabs.budget, _i64)), buf(check(slabs.stall, _i64)),
+            buf(check(slabs.parked, bool)), buf(check(slabs.win, _i64)),
+            slabs.win.shape[2], buf(check(slabs.win_dirty, bool)),
+            buf(check(slabs.drain, bool)),
+            buf(check(slabs.wall_exact, bool)),
+            buf(check(wall, np.float64)), buf(check(deadline, np.float64)),
+            buf(lanes), n_lanes, buf(check(status, np.int8)),
+            buf(match_rec), match_cap, buf(pop_rec), pop_cap,
+            buf(handoff), buf(counts),
+        )
+        if rc != 0:
+            raise RuntimeError(_CTL_ERRORS[rc])
+        n_match, n_pop, n_ho = counts.tolist()
+        handoffs = []
+        for lane, kind, *f in handoff[:n_ho].tolist():
+            if kind == _HO_TOP:
+                cursor = ("top",)
+            elif kind == _HO_ANALYTIC:
+                # cl_next, target, n_sinks, b_max, progressed
+                cursor = ("analytic", *f[:4], bool(f[4]))
+            else:
+                # budget, hits, r, pos, charged, b_max, b, any_match,
+                # progressed: a sweep level the token has not entered.
+                budget, b_max, b, progressed = f[:4]
+                cursor = (
+                    "sweep", budget, None, 0, 0, False, b_max, b, False,
+                    bool(progressed),
+                )
+            handoffs.append((lane, cursor))
+        return ControllerRun(
+            match_rec[:, :n_match], pop_rec[:, :n_pop], handoffs
+        )

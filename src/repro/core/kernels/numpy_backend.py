@@ -156,9 +156,11 @@ class NumpyKernelBackend(KernelBackend):
         hops_div = geo.hops_div
         # Hits past the budget always time out (stale entries are lower
         # bounds): their charges are lumped per lane; only the
-        # matchable hits need the sequential conflict scan.  Hit order
-        # equals unit order, so "consumed before the token reached it"
-        # is a plain unit-index comparison when adjusting the lump.
+        # matchable hits need the sequential conflict scan.  No match
+        # consumes a timeout hit's event: a pair committed at depth b
+        # to a later hit's event at b spans their distance, and that
+        # same event pair bounds the later hit's winner (and any stale
+        # lower bound of it) within the budget, so it is matchable.
         n_timeout = np.bincount(rel[~matchable], minlength=len(cur))
         sel = matchable
         rel_m, units_m = rel[sel], units[sel]
@@ -206,7 +208,6 @@ class NumpyKernelBackend(KernelBackend):
             bgt = int(budget[pos])
             t_cost = 2 * bgt + 2
             pop_l = int(popped[lane])
-            mset = set(units_l[lo:hi])
             pending: dict[int, int] = {}
             orig: dict[int, int] = {}
             # Consumed events as packed ints: unit << 6 | depth (depths
@@ -216,7 +217,6 @@ class NumpyKernelBackend(KernelBackend):
             full_clears: list[tuple[int, int]] = []  # (hit row, unit row)
             cost = 0
             l0_dec = 0
-            skips = 0  # timeout hits consumed before the token's arrival
             any_m = False
             for idx in range(lo, hi):
                 u = units_l[idx]
@@ -290,10 +290,6 @@ class NumpyKernelBackend(KernelBackend):
                 pt = pending.get(tu, 0) | (1 << td)
                 pending[tu] = pt
                 consumed.add((tu << 6) | td)
-                if td == b and tu > u and tu not in mset:
-                    # A later timeout hit just lost its bit: the token
-                    # will skip it, so it leaves the timeout lump.
-                    skips += 1
                 if td == 0:
                     l0_dec += 1
                 if orig[tu] & ~pt == 0 and tu not in cleared_units:
@@ -306,7 +302,7 @@ class NumpyKernelBackend(KernelBackend):
                 rec_t2.append(pop_l + td)
                 rec_port.append(0)
                 cost += 2 * h + 2
-            cost += (int(n_timeout[pos]) - skips) * t_cost
+            cost += int(n_timeout[pos]) * t_cost
             # Row-token charges: the static scan cost unless a commit
             # emptied a unit's row before the token reached it.
             late = [rc for rh, rc in full_clears if rc > rh]
