@@ -328,14 +328,20 @@ def warm_up(name: str) -> KernelBackend:
     # the race/survey/commit/timeout paths of both engines.
     layers[0, 0] = layers[0, 1] = 1
     layers[1, n - 1] = 1
-    batch = QecoolEngineBatch(
-        lattice, thv=-1, reg_size=7, capacity=2, kernel_backend=backend
-    )
-    lanes = np.asarray([batch.alloc_lane(), batch.alloc_lane()])
-    for row in layers:
-        batch.push_layers(lanes, np.broadcast_to(row, (2, n)))
-    batch.begin_drain(lanes)
-    batch.run_to_idle(lanes)
+    for lockstep in (False, True):
+        batch = QecoolEngineBatch(
+            lattice, thv=-1, reg_size=7, capacity=2, kernel_backend=backend
+        )
+        if lockstep:
+            # The lock-step phases dispatch race, valid_entries,
+            # survey_need and commit_scan, which a backend's compiled
+            # Controller replaces; run them too.
+            batch._top_loop = batch._lockstep_loop
+        lanes = np.asarray([batch.alloc_lane(), batch.alloc_lane()])
+        for row in layers:
+            batch.push_layers(lanes, np.broadcast_to(row, (2, n)))
+        batch.begin_drain(lanes)
+        batch.run_to_idle(lanes)
     scalar = QecoolEngine(
         lattice, thv=-1, reg_size=7, kernel_backend=backend
     )

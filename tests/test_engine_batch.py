@@ -15,6 +15,7 @@ implementation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.core.engine_batch import (
     LANE_PARKED,
     QecoolEngineBatch,
 )
-from repro.core.kernels import available_kernel_backends
+from repro.core.kernels import available_kernel_backends, get_kernel_backend
 from repro.core.reference import ReferenceEngine
 from repro.surface_code.lattice import PlanarLattice
 
@@ -151,7 +152,11 @@ def run_pair(
     kernel_backend=None,
 ):
     """Run staggered shots through one batch engine and per-shot scalar
-    oracles; compare after every round and at the end."""
+    oracles; compare after every round and at the end.
+
+    Returns each shot's observables as the batch lane showed them:
+    ``(overflowed, walls per round, matches, layer cycles, cycles)``.
+    """
     if batch is None:
         batch = QecoolEngineBatch(
             lattice, thv=thv, reg_size=reg,
@@ -159,6 +164,8 @@ def run_pair(
             kernel_backend=kernel_backend,
         )
     pairs = [None] * len(streams)
+    walls = [[] for _ in streams]
+    observed = [None] * len(streams)
     n_rounds = max(
         admit + len(stream) for admit, stream in zip(admit_rounds, streams)
     )
@@ -179,6 +186,7 @@ def run_pair(
             row = stream[local_k]
             bs.step(local_k, row, final)
             ss.step(local_k, row, final)
+            walls[i].append(bs.wall)
             if not final and not bs.unconstrained and not bs.overflowed:
                 # Wall clocks must agree at every interval boundary.
                 # (Not after the final drain: there the scalar keeps
@@ -188,10 +196,15 @@ def run_pair(
                 assert bs.wall == ss.wall, f"shot {i} wall at round {k}"
             if bs.overflowed or ss.overflowed or final:
                 assert_lane_matches_scalar(bs, ss, ctx=f"shot {i} round {k}")
+                observed[i] = (
+                    bs.overflowed, walls[i], list(batch.matches_of(bs.lane)),
+                    list(batch.layer_cycles_of(bs.lane)),
+                    batch.cycles_of(bs.lane),
+                )
                 bs.release()  # lane becomes reusable mid-batch
     for i, pair in enumerate(pairs):
         assert pair is not None, f"shot {i} never ran"
-    return batch
+    return observed
 
 
 def stream_strategy(draw, lattice, max_rounds=7):
@@ -202,13 +215,19 @@ def stream_strategy(draw, lattice, max_rounds=7):
     return (rng.random((n_rounds, lattice.n_ancillas)) < p).astype(np.uint8)
 
 
+# Decoder clocks: unconstrained, integer cycle budgets per 1 us interval
+# (2000 and 1; the lump-charged paths) and non-integer ones (2.5 and
+# 333.3...; every charge takes the exact per-action walk).
+FREQUENCIES = [None, 2.0e9, 1.0e6, 2.5e6, 1.0e9 / 3]
+
+
 @st.composite
 def workloads(draw):
-    d = draw(st.sampled_from([3, 5]))
+    d = draw(st.sampled_from([3, 5, 7]))
     lattice = LATTICES[d]
     thv = draw(st.sampled_from([-1, 3]))
     reg = draw(st.sampled_from([None, 7]))
-    freq = draw(st.sampled_from([None, 2.0e9, 1.0e6]))
+    freq = draw(st.sampled_from(FREQUENCIES))
     n_shots = draw(st.integers(1, 5))
     streams = [stream_strategy(draw, lattice) for _ in range(n_shots)]
     admits = [draw(st.integers(0, 4)) for _ in range(n_shots)]
@@ -234,6 +253,28 @@ class TestLaneForLaneIdentity:
         backend (fewer examples per backend; the default backend keeps
         the full 40-example sweep above)."""
         run_pair(*workload, kernel_backend=kernel_backend)
+
+    @pytest.mark.parametrize("kernel_backend", BACKENDS)
+    def test_resumed_analytic_cursor_charges_current_overhead(
+        self, kernel_backend, monkeypatch
+    ):
+        """A lane suspended inside its analytic budget growth resumes
+        after layers were pushed, which changes the per-level sweep
+        overhead; the resumed charges use the current occupancy, as the
+        scalar generator does.  (Seeded case: a frozen overhead gave
+        shot 0 a wall of 42 against the scalar's 47 at round 2.)"""
+        kinds = _spy_resumes(monkeypatch)
+        lattice = LATTICES[7]
+        rng = np.random.default_rng(4)
+        streams = [
+            (rng.random((6, lattice.n_ancillas)) < 0.05).astype(np.uint8)
+            for _ in range(3)
+        ]
+        run_pair(
+            lattice, -1, None, 1.0, streams, [0, 1, 2],
+            kernel_backend=kernel_backend,
+        )
+        assert kinds["analytic"]
 
     def test_lane_reuse_after_retirement_is_clean(self, d5):
         """Retire + readmit into the same lane: the reused lane must
@@ -294,6 +335,50 @@ class TestLaneForLaneIdentity:
             QecoolEngineBatch(d5, reg_size=0)
         with pytest.raises(ValueError):
             QecoolEngineBatch(d5, capacity=0)
+
+
+def _spy_resumes(monkeypatch) -> Counter:
+    """Count the cursor kinds ``_resume_lane`` continues from."""
+    kinds: Counter = Counter()
+    resume = QecoolEngineBatch._resume_lane
+
+    def spy(self, lane, wf, df, status):
+        kinds[self._cursors[lane][0]] += 1
+        return resume(self, lane, wf, df, status)
+
+    monkeypatch.setattr(QecoolEngineBatch, "_resume_lane", spy)
+    return kinds
+
+
+class TestControllerHandoffs:
+    def test_c_controller_hands_off_to_the_exact_walk(self, monkeypatch):
+        """The compiled Controller stops a lane wherever the lock-step
+        loop would walk action by action — analytic growth that could
+        cross the deadline or runs on a non-integer wall, and sweep
+        levels likewise — and the engine finishes it from an
+        ``analytic`` or ``sweep`` cursor.  Both handoffs occur on tight
+        and non-integer clocks, and every lane stays bit-identical to
+        the numpy backend's and to its scalar oracle."""
+        assert get_kernel_backend("c").controller is not None
+        lattice = LATTICES[7]
+        rng = np.random.default_rng(11)
+        kinds = _spy_resumes(monkeypatch)
+        totals: Counter = Counter()
+        for freq in (1.0e6, 7.0e6, 2.5e6, 1.0e9 / 3):
+            for thv, reg in ((-1, None), (3, 7)):
+                streams = [
+                    (rng.random((6, lattice.n_ancillas)) < 0.08).astype(
+                        np.uint8
+                    )
+                    for _ in range(4)
+                ]
+                args = (lattice, thv, reg, freq * 1.0e-6, streams, [0, 1, 1, 2])
+                kinds.clear()
+                got_c = run_pair(*args, kernel_backend="c")
+                totals += kinds
+                got_np = run_pair(*args, kernel_backend="numpy")
+                assert got_c == got_np, (freq, thv, reg)
+        assert totals["analytic"] and totals["sweep"], totals
 
 
 def _dense_drain_case(lattice, thv, reg, kernel_backend):

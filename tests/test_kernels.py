@@ -459,6 +459,32 @@ class TestKernelLevelEquivalence:
                 np.testing.assert_array_equal(a, c, err_msg=field)
             np.testing.assert_array_equal(args_np[1], args_c[1])
 
+    def test_commit_never_consumes_a_timeout_hit(self, seed):
+        """The invariant that lets the commit scan charge every
+        non-matchable hit a full timeout: no commit clears a timeout
+        hit's event at the scanned depth.  (A pair committed to a later
+        hit's event at that depth spans their distance, which bounds
+        the later hit's own winner, and any stale lower bound of it,
+        within the budget: that hit is matchable.)"""
+        npb = get_kernel_backend("numpy")
+        checked = 0
+        for call in _recorded(seed, d=self.D_DRAIN).commits:
+            args = _fresh(call)
+            rel, units, matchable, b = args[6], args[7], args[10], args[5]
+            res = npb.commit_scan(*args)
+            timeouts = set(
+                zip(rel[~matchable].tolist(), units[~matchable].tolist())
+            )
+            # Lanes whose level both committed and timed out a hit.
+            checked += len({p for p, _ in timeouts} & set(res.rec_pos.tolist()))
+            for pos, unit, bits in zip(
+                res.clear_pos.tolist(), res.clear_unit.tolist(),
+                res.clear_bits.tolist(),
+            ):
+                if (pos, unit) in timeouts:
+                    assert not bits >> b & 1, (pos, unit, b)
+        assert checked
+
     def test_exposed_any_and_charge_empty(self, seed):
         batch, lanes, rng = _slab_state(seed, d=self.D_SLAB)
         npb = get_kernel_backend("numpy")
