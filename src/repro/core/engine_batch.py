@@ -5,12 +5,21 @@
 ``(lattice, thv, reg_size, nlimit)`` at once.  All Unit state lives in
 shot-major slabs — ``(S, N)`` uint64 Reg masks, ``(S,)`` clock/layer
 registers, ``(S, rows)`` row-occupancy counts, an ``(S, N, L)``
-packed-key winner slab — and the Controller phases (shift-detection
-pops, the sink survey, analytic budget growth, token sweeps) advance
-**every live lane in lock-step** as whole-batch numpy passes, with
-per-lane divergence handled by boolean lane masks: idle, retired and
-deadline-suspended lanes simply drop out of the index vectors instead
-of being looped over.
+packed-key winner slab.  Two Controllers run on those slabs:
+
+- **Compiled** (a kernel backend with a ``controller``, i.e. ``c``):
+  one call per decode pass advances each lane in turn through pops,
+  survey, analytic growth and sweeps, writing the slabs in place and
+  returning match and layer-cycle records.
+- **Lock-step** (the numpy reference): the Controller phases
+  (shift-detection pops, the sink survey, analytic budget growth,
+  token sweeps) advance every live lane at once as whole-batch numpy
+  passes, with per-lane divergence handled by boolean lane masks:
+  idle, retired and deadline-suspended lanes simply drop out of the
+  index vectors instead of being looped over.
+
+Both hand a lane to the same exact per-action walk wherever a lumped
+charge is not provably safe (below).
 
 Bit-identity contract (see ``tests/README.md``): every lane reproduces
 the scalar engine's observable stream exactly — matches (objects and
@@ -30,12 +39,13 @@ rules:
   integer floats, so lumped float adds are exact).  Otherwise the lane
   takes the exact per-action walk.
 - **Divergent lanes fall back to the exact walk.**  A lane whose
-  sub-sweep can match (or cross its deadline, or carries a non-integer
-  wall) is walked action by action by :meth:`_walk_level` — the scalar
+  sub-sweep could cross its deadline, or carries a non-integer wall,
+  is walked action by action by :meth:`_walk_level` — the scalar
   ``_sweep`` body operating on slab state — and a lane suspended
   mid-sweep resumes through :meth:`_resume_lane` with its frozen
   ``(budget, b_max, hits, position)`` cursor, exactly like the scalar
-  generator would.
+  generator would.  The compiled Controller stops such a lane before
+  the walk and returns the cursor it would resume from.
 
 The winner slab mirrors the scalar engine's lazily-validated cache:
 entries are raced on demand, validated at use by checking that the
@@ -45,7 +55,8 @@ Cache contents are a performance detail — never observable in matches
 or cycle accounting — which is what lets the slab organisation differ
 from the scalar dict while the decisions stay identical.
 
-MIRROR: the Controller logic here must stay in lock-step with
+MIRROR: the Controller logic here, and its compiled form
+(``controller`` in ``kernels/ckernels.c``), must stay in lock-step with
 ``QecoolEngine.run`` / ``run_to_idle`` / ``_sweep`` / ``_sweep_sync``
 (the equivalence suites and golden pins police it).
 """
@@ -458,7 +469,7 @@ class QecoolEngineBatch:
         return out
 
     # ------------------------------------------------------------------
-    # The Controller (lock-step across lanes)
+    # The Controller
     # ------------------------------------------------------------------
     def decode(
         self,
@@ -572,18 +583,21 @@ class QecoolEngineBatch:
                 slabs, self.thv, self.nlimit, self._stall_limit, top,
                 wf, df, status, self._geo,
             )
-            for lane, u, t1, u2, t2, port in zip(*run.matches.tolist()):
-                r, c = divmod(u, cols)
-                if u2 < 0:
-                    side = (
-                        BOUNDARY_WEST if port == PRIORITY_WEST
-                        else BOUNDARY_EAST
-                    )
-                    match = _fast_match("boundary", (r, c, t1), None, side)
+            lane_r, u, t1, u2, t2, port = run.matches
+            r, c = np.divmod(u, cols)
+            r2, c2 = np.divmod(u2, cols)
+            for lane, a, b, pair, west in zip(
+                lane_r.tolist(),
+                zip(r.tolist(), c.tolist(), t1.tolist()),
+                zip(r2.tolist(), c2.tolist(), t2.tolist()),
+                (u2 >= 0).tolist(),
+                (port == PRIORITY_WEST).tolist(),
+            ):
+                if pair:
+                    match = _fast_match("pair", a, b, None)
                 else:
-                    match = _fast_match(
-                        "pair", (r, c, t1), (u2 // cols, u2 % cols, t2), None
-                    )
+                    side = BOUNDARY_WEST if west else BOUNDARY_EAST
+                    match = _fast_match("boundary", a, None, side)
                 matches[lane].append(match)
             for lane, delta in zip(*run.pops.tolist()):
                 layer_cycles[lane].append(delta)
@@ -1410,10 +1424,11 @@ class QecoolEngineBatch:
     def _resume_lane(
         self, lane: int, wf: np.ndarray, df: np.ndarray, status: np.ndarray
     ) -> bool:
-        """Continue a deadline-suspended lane from its frozen cursor.
+        """Continue a lane from its frozen cursor (deadline-suspended,
+        or handed off by the compiled Controller).
 
         Returns True when the lane reached a clean Controller-top point
-        and should join the lock-step loop; False when it suspended
+        and should rejoin the Controller loop; False when it suspended
         again (or its status was otherwise settled) this round.
         """
         cursor = self._cursors.pop(lane)
@@ -1455,7 +1470,7 @@ class QecoolEngineBatch:
         status: np.ndarray,
     ) -> bool:
         """Finish one lane's suspended sweep action by action, then hand
-        it back to the lock-step loop at the Controller top."""
+        it back to the Controller loop at the Controller top."""
         lane_arr = np.asarray([lane], dtype=np.int64)
         progressed = matched
         while b <= b_max:

@@ -4,15 +4,18 @@ The QECOOL engines dispatch their numeric hot kernels — the packed
 winner races, cache-validity scans, the survey's stale-bound
 refinement, the commit-level conflict scan, and the idle-layer charge
 helpers — through a :class:`KernelBackend` selected by name at engine
-construction.  The registry mirrors the noise-model registry
+construction.  A backend may also supply the batch engine's whole
+Controller loop (:attr:`KernelBackend.controller`); without one the
+engine runs its lock-step numpy phases, the reference Controller.  The registry mirrors the noise-model registry
 (:mod:`repro.surface_code.noise`): string-keyed factories, duplicate
 registration rejected, unknown names listed in the error.
 
 Built-in backends:
 
 ``c`` (default)
-    The seven kernels compiled from ``ckernels.c`` by the system C
-    compiler on first use and cached per host (:mod:`.c_backend`).
+    The seven kernels and the Controller loop, compiled from
+    ``ckernels.c`` by the system C compiler on first use and cached per
+    host (:mod:`.c_backend`).
     When the build or load fails the factory warns once per process
     and returns the numpy backend (sessions decode bit-identically
     either way — backends never change observables).
