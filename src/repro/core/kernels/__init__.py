@@ -6,9 +6,10 @@ refinement, the commit-level conflict scan, and the idle-layer charge
 helpers — through a :class:`KernelBackend` selected by name at engine
 construction.  A backend may also supply the batch engine's whole
 Controller loop (:attr:`KernelBackend.controller`); without one the
-engine runs its lock-step numpy phases, the reference Controller.  The registry mirrors the noise-model registry
-(:mod:`repro.surface_code.noise`): string-keyed factories, duplicate
-registration rejected, unknown names listed in the error.
+engine runs its lock-step numpy phases, the reference Controller.  The
+registry mirrors the noise-model registry (:mod:`repro.surface_code.noise`):
+string-keyed factories, duplicate registration rejected, unknown names
+listed in the error.
 
 Built-in backends:
 
@@ -313,11 +314,13 @@ register_kernel_backend("c", _make_c)
 
 
 def warm_up(name: str) -> KernelBackend:
-    """Exercise every dispatched kernel of ``name`` on a tiny decode.
+    """Exercise every kernel the engines dispatch on ``name`` with a
+    tiny decode.
 
     For the ``c`` backend this builds (or loads the cached) library
-    and runs every compiled kernel once, so a broken build shows up
-    before anything is timed.  Returns the resolved backend.
+    and runs the compiled Controller and the scalar and idle-layer
+    kernels once, so a broken build shows up before anything is
+    timed.  Returns the resolved backend.
     """
     backend = get_kernel_backend(name)
     from repro.core.engine import QecoolEngine
@@ -331,20 +334,14 @@ def warm_up(name: str) -> KernelBackend:
     # the race/survey/commit/timeout paths of both engines.
     layers[0, 0] = layers[0, 1] = 1
     layers[1, n - 1] = 1
-    for lockstep in (False, True):
-        batch = QecoolEngineBatch(
-            lattice, thv=-1, reg_size=7, capacity=2, kernel_backend=backend
-        )
-        if lockstep:
-            # The lock-step phases dispatch race, valid_entries,
-            # survey_need and commit_scan, which a backend's compiled
-            # Controller replaces; run them too.
-            batch._top_loop = batch._lockstep_loop
-        lanes = np.asarray([batch.alloc_lane(), batch.alloc_lane()])
-        for row in layers:
-            batch.push_layers(lanes, np.broadcast_to(row, (2, n)))
-        batch.begin_drain(lanes)
-        batch.run_to_idle(lanes)
+    batch = QecoolEngineBatch(
+        lattice, thv=-1, reg_size=7, capacity=2, kernel_backend=backend
+    )
+    lanes = np.asarray([batch.alloc_lane(), batch.alloc_lane()])
+    for row in layers:
+        batch.push_layers(lanes, np.broadcast_to(row, (2, n)))
+    batch.begin_drain(lanes)
+    batch.run_to_idle(lanes)
     scalar = QecoolEngine(
         lattice, thv=-1, reg_size=7, kernel_backend=backend
     )

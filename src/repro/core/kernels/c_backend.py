@@ -378,9 +378,10 @@ class CKernelBackend(KernelBackend):
         Writes every slab of ``slabs`` except ``drain`` and
         ``wall_exact`` in place, plus ``wall`` and ``status``
         (full-capacity, indexed by lane; ``deadline`` likewise).
-        Handed-off lanes keep status ``-1`` and come back as
-        ``(lane, cursor)`` with the engine's ``("top",)``,
-        ``("analytic", ...)`` or ``("sweep", ...)`` cursor.  Raises
+        Lanes that stop short of settling come back as ``(lane,
+        cursor)``: ``("top",)`` for a lane suspended on a pop's charge,
+        ``("analytic", ...)`` or ``("sweep", ...)`` (status left at
+        ``-1``) for one that needs the exact walk.  Raises
         ``RuntimeError`` on a drain stall or a no-progress stall, as
         the lock-step loop does.
         """

@@ -4,9 +4,11 @@
  * Built lazily by repro.core.kernels.c_backend (``cc -O2 -shared
  * -fPIC``) and loaded through cffi's ABI mode; the declarations in
  * ``CDEF`` there must match the signatures below.  Semantics are
- * defined by the numpy backend (numpy_backend.py) and pinned to it by
- * the equivalence suites: same packed race keys, same commit records,
- * same charges.  Only winner-slab contents (a cache) may differ.
+ * defined by the numpy backend (numpy_backend.py) and, for
+ * ``controller``, by the batch engine's lock-step Controller
+ * (engine_batch.py), and pinned to them by the equivalence suites:
+ * same packed race keys, same commit records, same charges.  Only
+ * winner-slab contents (a cache) may differ.
  *
  * Layouts: every array is C-contiguous.  masks[lane * n + unit] holds
  * a Unit's Reg as a uint64 bit set (bit t = an event t layers above
@@ -660,7 +662,7 @@ int controller(const geometry *g, int64_t thv, int64_t nlimit,
     const int64_t n = g->n;
     int64_t n_ho = 0;
     int rc = CTL_OK;
-    for (int64_t j = 0; j < n_lanes && rc == CTL_OK; j++) {
+    for (int64_t j = 0; j < n_lanes; j++) {
         const int64_t lane = lanes[j];
         const uint64_t *row = masks + lane * n;
         const double dl = deadline[lane];
@@ -672,8 +674,10 @@ int controller(const geometry *g, int64_t thv, int64_t nlimit,
             /* Shift detection: pop while the oldest layer is clear. */
             while (m[lane] > 0 && l0[lane] == 0) {
                 const int64_t cost = pop_lane(&c, lane);
-                if (cost < 0)
-                    goto overflow;
+                if (cost < 0) {
+                    rc = CTL_OVERFLOW;
+                    goto done;
+                }
                 budget[lane] = 1;
                 progressed = 1;
                 if (finite) {
@@ -713,7 +717,7 @@ int controller(const geometry *g, int64_t thv, int64_t nlimit,
             if (!n_sinks) {
                 if (drain[lane] && m[lane] > 0) {
                     rc = CTL_DRAIN_STALL;
-                    break;
+                    goto done;
                 }
                 status[lane] = ST_PARKED;
                 budget[lane] = 1;
@@ -769,8 +773,10 @@ int controller(const geometry *g, int64_t thv, int64_t nlimit,
                 int matched = 0;
                 const int64_t cost =
                     n_hits ? walk_level(&c, lane, b, bgt, &matched) : lump;
-                if (cost < 0)
-                    goto overflow;
+                if (cost < 0) {
+                    rc = CTL_OVERFLOW;
+                    goto done;
+                }
                 cycles[lane] += cost;
                 if (finite)
                     wall[lane] += (double)cost;
@@ -780,8 +786,10 @@ int controller(const geometry *g, int64_t thv, int64_t nlimit,
                 /* Mid-sweep shift check (Algorithm 1, lines 18-22). */
                 if (m[lane] > 0 && l0[lane] == 0) {
                     const int64_t pc = pop_lane(&c, lane);
-                    if (pc < 0)
-                        goto overflow;
+                    if (pc < 0) {
+                        rc = CTL_OVERFLOW;
+                        goto done;
+                    }
                     budget[lane] = 1;
                     if (finite) {
                         wall[lane] += (double)pc;
@@ -803,18 +811,14 @@ int controller(const geometry *g, int64_t thv, int64_t nlimit,
                 stall[lane] = 0;
             } else if (++stall[lane] > stall_limit) {
                 rc = CTL_NO_PROGRESS;
-                break;
+                goto done;
             }
         }
     next_lane:;
     }
+done:
     counts[0] = c.n_match;
     counts[1] = c.n_pop;
     counts[2] = n_ho;
     return rc;
-overflow:
-    counts[0] = c.n_match;
-    counts[1] = c.n_pop;
-    counts[2] = n_ho;
-    return CTL_OVERFLOW;
 }
