@@ -86,6 +86,10 @@ __all__ = ["LANE_PARKED", "LANE_RETIRED", "LANE_SUSPENDED", "QecoolEngineBatch"]
 _ONE = np.uint64(1)
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+# Handoff kinds of the compiled Controller (``ControllerRun.handoffs``;
+# HO_* in ckernels.c).
+_HANDOFF_TOP, _HANDOFF_ANALYTIC = 0, 1
+
 LANE_PARKED = 0
 """Decode reached IDLE: nothing matchable or poppable until more layers."""
 
@@ -570,8 +574,7 @@ class QecoolEngineBatch:
         pass.  Match and layer-cycle records are applied before any
         walk, so per-lane order is the scalar one.
         """
-        cols = self.lattice.cols
-        matches, layer_cycles = self._matches, self._layer_cycles
+        layer_cycles = self._layer_cycles
         while top.size:
             slabs = ControllerSlabs(
                 self._masks, self._m, self._l0, self._popped, self._cycles,
@@ -583,32 +586,60 @@ class QecoolEngineBatch:
                 slabs, self.thv, self.nlimit, self._stall_limit, top,
                 wf, df, status, self._geo,
             )
-            lane_r, u, t1, u2, t2, port = run.matches
-            r, c = np.divmod(u, cols)
-            r2, c2 = np.divmod(u2, cols)
-            for lane, a, b, pair, west in zip(
-                lane_r.tolist(),
-                zip(r.tolist(), c.tolist(), t1.tolist()),
-                zip(r2.tolist(), c2.tolist(), t2.tolist()),
-                (u2 >= 0).tolist(),
-                (port == PRIORITY_WEST).tolist(),
-            ):
-                if pair:
-                    match = _fast_match("pair", a, b, None)
-                else:
-                    side = BOUNDARY_WEST if west else BOUNDARY_EAST
-                    match = _fast_match("boundary", a, None, side)
-                matches[lane].append(match)
+            self._append_match_records(*run.matches)
             for lane, delta in zip(*run.pops.tolist()):
                 layer_cycles[lane].append(delta)
             back: list[int] = []
-            for lane, cursor in run.handoffs:
+            for lane, kind, *f in run.handoffs.tolist():
+                if kind == _HANDOFF_TOP:
+                    self._cursors[lane] = ("top",)
+                    continue
+                if kind == _HANDOFF_ANALYTIC:
+                    # cl_next, target, n_sinks, b_max, progressed
+                    cursor = ("analytic", *f[:4], bool(f[4]))
+                else:
+                    # A sweep level the token has not entered: budget,
+                    # hits, r, pos, charged, b_max, b, any_match,
+                    # progressed.
+                    budget, b_max, b, progressed = f[:4]
+                    cursor = (
+                        "sweep", budget, None, 0, 0, False, b_max, b, False,
+                        bool(progressed),
+                    )
                 self._cursors[lane] = cursor
-                if cursor[0] != "top" and self._resume_lane(
-                    lane, wf, df, status
-                ):
+                if self._resume_lane(lane, wf, df, status):
                     back.append(lane)
             top = np.asarray(back, dtype=np.int64)
+
+    def _append_match_records(
+        self,
+        lanes: np.ndarray,
+        u: np.ndarray,
+        t1: np.ndarray,
+        u2: np.ndarray,
+        t2: np.ndarray,
+        port: np.ndarray,
+    ) -> None:
+        """Append commit records — sink unit and depth, source unit and
+        depth (``u2 < 0``: a boundary match through ``port``) — to the
+        lanes' match lists as ``Match`` objects, in record order."""
+        cols = self.lattice.cols
+        matches = self._matches
+        r, c = np.divmod(u, cols)
+        r2, c2 = np.divmod(u2, cols)
+        for lane, a, b, pair, west in zip(
+            lanes.tolist(),
+            zip(r.tolist(), c.tolist(), t1.tolist()),
+            zip(r2.tolist(), c2.tolist(), t2.tolist()),
+            (u2 >= 0).tolist(),
+            (port == PRIORITY_WEST).tolist(),
+        ):
+            if pair:
+                match = _fast_match("pair", a, b, None)
+            else:
+                side = BOUNDARY_WEST if west else BOUNDARY_EAST
+                match = _fast_match("boundary", a, None, side)
+            matches[lane].append(match)
 
     def _lockstep_loop(
         self,
@@ -1166,34 +1197,16 @@ class QecoolEngineBatch:
         total is order-independent because deadline-safe lanes have no
         mid-level observation points.
         """
-        cols = self.lattice.cols
         res = self._kernel.commit_scan(
             self._masks, self._win, self._row_counts, self._popped,
             cur, b, rel, units, entries, hops, matchable, budget,
             rowcost, self._geo,
         )
+        self._append_match_records(
+            cur[res.rec_pos], res.rec_u, res.rec_t, res.rec_u2, res.rec_t2,
+            res.rec_port,
+        )
         cur_l = cur.tolist()
-        matches = self._matches
-        for pos, u, t1, u2, t2, port in zip(
-            res.rec_pos.tolist(), res.rec_u.tolist(), res.rec_t.tolist(),
-            res.rec_u2.tolist(), res.rec_t2.tolist(),
-            res.rec_port.tolist(),
-        ):
-            lane = cur_l[pos]
-            r, c = divmod(u, cols)
-            if u2 < 0:
-                side = (
-                    BOUNDARY_WEST if port == PRIORITY_WEST else BOUNDARY_EAST
-                )
-                matches[lane].append(
-                    _fast_match("boundary", (r, c, t1), None, side)
-                )
-            else:
-                matches[lane].append(
-                    _fast_match(
-                        "pair", (r, c, t1), (u2 // cols, u2 % cols, t2), None
-                    )
-                )
         for pos, total, l0_dec, any_m in zip(
             res.g_pos.tolist(), res.g_total.tolist(), res.g_l0.tolist(),
             res.g_match.tolist(),

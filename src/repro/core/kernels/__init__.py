@@ -14,9 +14,11 @@ listed in the error.
 Built-in backends:
 
 ``c`` (default)
-    The seven kernels and the Controller loop, compiled from
-    ``ckernels.c`` by the system C compiler on first use and cached per
-    host (:mod:`.c_backend`).
+    The Controller loop, the scalar broadcast race and the idle-layer
+    helpers, compiled from ``ckernels.c`` by the system C compiler on
+    first use and cached per host (:mod:`.c_backend`); the lock-step
+    kernels, which the compiled Controller replaces, are the numpy
+    ones.
     When the build or load fails the factory warns once per process
     and returns the numpy backend (sessions decode bit-identically
     either way — backends never change observables).
@@ -133,7 +135,13 @@ class ControllerRun(NamedTuple):
     matches: np.ndarray  # (6, k): lane, unit, depth, unit2 (-1 = boundary),
     #                      depth2, port; per-lane commit order
     pops: np.ndarray     # (2, k): lane, layer-cycle delta; per-lane order
-    handoffs: list       # (lane, cursor) for lanes needing the exact walk
+    handoffs: np.ndarray  # (k, 7) int64 rows, one per lane stopped short
+    #   of settling: lane, kind, then the kind's fields —
+    #   0 (suspended on a pop's charge): none;
+    #   1 (analytic budget growth needs the exact walk): cl_next, target,
+    #     n_sinks, b_max, progressed;
+    #   2 (a sweep level needs the exact walk): budget, b_max, b,
+    #     progressed.  Unused fields are unspecified.
 
 
 class KernelBackend:

@@ -1,9 +1,12 @@
 """The ``c`` kernel backend: the engine hot kernels compiled from C.
 
-``ckernels.c`` (next to this module) holds all eight kernels: the
-seven every backend implements and the batch engine's whole Controller
-loop (:meth:`CKernelBackend.controller`).  The
-first resolution of the backend on a host builds two files into
+``ckernels.c`` (next to this module) holds the scalar engine's
+broadcast race (``winners_bulk``), the two idle-layer helpers
+(``exposed_any``, ``charge_empty``) and the batch engine's whole
+Controller loop (:meth:`CKernelBackend.controller`).  The lock-step
+kernels (``race``, ``valid_entries``, ``survey_need``,
+``commit_scan``) run only in the numpy reference Controller, so this
+backend inherits them from the numpy backend.  The first resolution of the backend on a host builds two files into
 ``$XDG_CACHE_HOME/repro-qecool/`` (else ``~/.cache/repro-qecool/``),
 both named by a hash of the C source, its declarations, the compile
 flags, the machine and the cffi version:
@@ -42,13 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.kernels import (
-    CommitScan,
-    ControllerRun,
-    ControllerSlabs,
-    Geometry,
-    KernelBackend,
-)
+from repro.core.kernels import ControllerRun, ControllerSlabs, Geometry
+from repro.core.kernels.numpy_backend import NumpyKernelBackend
 
 __all__ = ["BuildError", "CKernelBackend", "library_path", "load"]
 
@@ -68,22 +66,8 @@ typedef struct {
     int64_t rows;
     int64_t cols;
 } geometry;
-void race(const geometry *, const uint64_t *, const int64_t *,
-          const int64_t *, const int64_t *, int64_t, int64_t *);
-void valid_entries(const geometry *, const int64_t *, const uint64_t *,
-                   const int64_t *, const int64_t *, const int64_t *,
-                   int64_t, uint8_t *);
-void survey_need(const geometry *, const uint64_t *, int64_t *, int64_t,
-                 uint8_t *, const int64_t *, const int64_t *,
-                 const int64_t *, const int64_t *, int64_t, int64_t *,
-                 int64_t);
 void winners_bulk(const geometry *, const uint64_t *, const int64_t *,
                   const int64_t *, int64_t, int64_t *);
-int commit_scan(const geometry *, const uint64_t *, int64_t *, int64_t,
-                const int64_t *, const int64_t *, const int64_t *, int64_t,
-                int64_t, const int64_t *, const int64_t *, const int64_t *,
-                const int64_t *, const uint8_t *, int64_t, const int64_t *,
-                const int64_t *, int64_t *, int64_t *);
 void exposed_any(const uint64_t *, int64_t, const int64_t *,
                  const int64_t *, int64_t, uint8_t *);
 void charge_empty(int64_t *, int64_t *, int64_t *, const int64_t *,
@@ -97,8 +81,8 @@ int controller(const geometry *, int64_t, int64_t, int64_t, uint64_t *,
                int64_t *, int64_t *);
 """
 
-# Handoff kinds and error codes of ``controller`` (HO_* / CTL_* there).
-_HO_TOP, _HO_ANALYTIC = 0, 1
+# Handoff record width (HO_FIELDS) and error codes (CTL_*) of
+# ``controller``.
 _HO_FIELDS = 7
 _CTL_ERRORS = {
     -1: "drain stalled with no defects but layers left",
@@ -204,11 +188,20 @@ _i64 = np.int64
 _u64 = np.uint64
 
 
-class CKernelBackend(KernelBackend):
-    """The engine kernels as compiled C (``ckernels.c``)."""
+class CKernelBackend(NumpyKernelBackend):
+    """The engine kernels as compiled C (``ckernels.c``), with the
+    numpy lock-step kernels the compiled Controller replaces."""
 
     name = "c"
     compiled = True
+
+    # The inherited lock-step kernels, named in this class's own body so
+    # the class lists every kernel (perfbench's tracer patches each one
+    # on the active backend's class).
+    race = NumpyKernelBackend.race
+    valid_entries = NumpyKernelBackend.valid_entries
+    survey_need = NumpyKernelBackend.survey_need
+    commit_scan = NumpyKernelBackend.commit_scan
 
     def __init__(self) -> None:
         self._ffi, self._lib = load()
@@ -268,74 +261,6 @@ class CKernelBackend(KernelBackend):
             self._geos[id(geo)] = entry
         return entry[1]
 
-    def race(self, masks, s, i, b, geo: Geometry) -> np.ndarray:
-        m = len(s)
-        out = np.empty(m, _i64)
-        self._lib.race(
-            self._geo(geo), self._masks(masks, geo), self._in(s),
-            self._in(i, m), self._in(b, m), m, self._buf(out),
-        )
-        return out
-
-    def valid_entries(self, entries, masks, s, i, b, geo: Geometry) -> np.ndarray:
-        m = len(entries)
-        out = np.empty(m, bool)
-        self._lib.valid_entries(
-            self._geo(geo), self._in(entries), self._masks(masks, geo),
-            self._in(s, m), self._in(i, m), self._in(b, m), m,
-            self._buf(out),
-        )
-        return out
-
-    def survey_need(
-        self, masks, win, win_dirty, s, i, b, pos, n_top, geo: Geometry
-    ) -> np.ndarray:
-        m = len(s)
-        need = np.empty(n_top, _i64)
-        self._lib.survey_need(
-            self._geo(geo), self._masks(masks, geo),
-            self._buf(_check(win, _i64)), win.shape[2],
-            self._buf(_check(win_dirty, bool)),
-            self._in(s), self._in(i, m), self._in(b, m), self._in(pos, m), m,
-            self._buf(need), n_top,
-        )
-        return need
-
-    def commit_scan(
-        self, masks, win, row_counts, popped, cur, b, rel, units,
-        entries, hops, matchable, budget, rowcost, geo: Geometry,
-    ) -> CommitScan:
-        n_all, n_groups = len(rel), len(cur)
-        cap2 = 2 * n_all + 2
-        out = np.empty(6 * n_all + 4 * n_groups + 5 * cap2, _i64)
-        counts = np.empty(4, _i64)
-        matchable = np.ascontiguousarray(matchable, bool)
-        if len(matchable) != n_all:
-            raise ValueError("commit_scan: matchable does not match rel")
-        rc = self._lib.commit_scan(
-            self._geo(geo), self._masks(masks, geo),
-            self._buf(_check(win, _i64)), win.shape[2],
-            self._in(row_counts), self._in(popped), self._in(cur), n_groups,
-            int(b), self._in(rel), self._in(units, n_all),
-            self._in(entries, n_all), self._in(hops, n_all),
-            self._buf(matchable), n_all,
-            self._in(budget, n_groups), self._in(rowcost, n_groups),
-            self._buf(out), self._buf(counts),
-        )
-        if rc != 0:
-            raise MemoryError("commit_scan: scratch allocation failed")
-        n_rec, n_g, n_fc, n_cl = counts.tolist()
-        rec = out[: 6 * n_all].reshape(6, n_all)[:, :n_rec]
-        grp = out[6 * n_all: 6 * n_all + 4 * n_groups].reshape(4, n_groups)
-        tail = out[6 * n_all + 4 * n_groups:].reshape(5, cap2)
-        return CommitScan(
-            *rec,
-            grp[0, :n_g], grp[1, :n_g], grp[2, :n_g],
-            grp[3, :n_g].astype(bool),
-            tail[0, :n_fc], tail[1, :n_fc],
-            tail[2, :n_cl], tail[3, :n_cl], tail[4, :n_cl].view(_u64),
-        )
-
     def winners_bulk(self, masks, live, sinks, bases, geo: Geometry) -> np.ndarray:
         # The C race skips empty Units as it scans, so ``live`` (the
         # numpy backend's gather list) is not needed.
@@ -378,10 +303,9 @@ class CKernelBackend(KernelBackend):
         Writes every slab of ``slabs`` except ``drain`` and
         ``wall_exact`` in place, plus ``wall`` and ``status``
         (full-capacity, indexed by lane; ``deadline`` likewise).
-        Lanes that stop short of settling come back as ``(lane,
-        cursor)``: ``("top",)`` for a lane suspended on a pop's charge,
-        ``("analytic", ...)`` or ``("sweep", ...)`` (status left at
-        ``-1``) for one that needs the exact walk.  Raises
+        Lanes that stop short of settling come back as handoff rows
+        (layout in :class:`ControllerRun`): suspended on a pop's charge,
+        or (status left at ``-1``) needing the exact walk.  Raises
         ``RuntimeError`` on a drain stall or a no-progress stall, as
         the lock-step loop does.
         """
@@ -416,22 +340,6 @@ class CKernelBackend(KernelBackend):
         if rc != 0:
             raise RuntimeError(_CTL_ERRORS[rc])
         n_match, n_pop, n_ho = counts.tolist()
-        handoffs = []
-        for lane, kind, *f in handoff[:n_ho].tolist():
-            if kind == _HO_TOP:
-                cursor = ("top",)
-            elif kind == _HO_ANALYTIC:
-                # cl_next, target, n_sinks, b_max, progressed
-                cursor = ("analytic", *f[:4], bool(f[4]))
-            else:
-                # budget, hits, r, pos, charged, b_max, b, any_match,
-                # progressed: a sweep level the token has not entered.
-                budget, b_max, b, progressed = f[:4]
-                cursor = (
-                    "sweep", budget, None, 0, 0, False, b_max, b, False,
-                    bool(progressed),
-                )
-            handoffs.append((lane, cursor))
         return ControllerRun(
-            match_rec[:, :n_match], pop_rec[:, :n_pop], handoffs
+            match_rec[:, :n_match], pop_rec[:, :n_pop], handoff[:n_ho]
         )

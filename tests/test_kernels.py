@@ -359,18 +359,37 @@ def _recorded(seed, d=7, shots=8, density=0.06):
     return recorder
 
 
+def _compiled_race(masks, s, i, b, geo):
+    """Packed winners of ``(lane, sink, base)`` triples from the
+    compiled race, one ``winners_bulk`` call per lane."""
+    cb = get_kernel_backend("c")
+    out = np.empty(len(s), dtype=np.int64)
+    for lane in np.unique(s).tolist():
+        sel = s == lane
+        out[sel] = cb.winners_bulk(
+            masks[lane], np.flatnonzero(masks[lane]), i[sel], b[sel], geo
+        )
+    return out
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestKernelLevelEquivalence:
-    """numpy vs c kernels on identical reachable slab states."""
+    """Kernels on identical reachable slab states: numpy vs c for the
+    kernels both compile, and the numpy-only lock-step kernels against
+    the compiled race and their record contract."""
 
     # Lattice of the mid-decode slab states and of the recorded drains.
     D_SLAB, D_DRAIN = 5, 7
 
     def test_race_and_valid_entries(self, seed):
+        """The numpy lock-step race agrees with the compiled race (the
+        one ``winners_bulk`` and the compiled Controller run) on every
+        live triple; the validity scan reads those winners valid, and
+        reads stale every winner whose target event was cleared."""
         batch, lanes, rng = _slab_state(seed, d=self.D_SLAB)
         npb = get_kernel_backend("numpy")
         cb = get_kernel_backend("c")
-        masks = batch._masks
+        masks, geo = batch._masks, batch._geo
         # The race contract: unique (lane, sink, base) triples whose
         # sink holds the base bit — exactly the triples the engines'
         # surveys flatten out of live sink lists.
@@ -382,21 +401,20 @@ class TestKernelLevelEquivalence:
         b = np.asarray(b_all, dtype=np.int64)
         if not len(s):
             pytest.skip("no events at this seed")
-        got_np = npb.race(masks, s, i, b, batch._geo)
-        got_c = cb.race(masks, s, i, b, batch._geo)
-        np.testing.assert_array_equal(got_np, got_c)
+        got_np = npb.race(masks, s, i, b, geo)
+        np.testing.assert_array_equal(got_np, _compiled_race(masks, s, i, b, geo))
+        assert npb.valid_entries(got_np, masks, s, i, b, geo).all()
         entries = got_np.copy()
-        # Poison some entries so both validity branches are exercised.
         entries[::3] = -1
-        v_np = npb.valid_entries(entries, masks, s, i, b, batch._geo)
-        v_c = cb.valid_entries(entries, masks, s, i, b, batch._geo)
-        np.testing.assert_array_equal(v_np, v_c)
-        # Stale winners (their target event cleared) must read invalid.
+        np.testing.assert_array_equal(
+            npb.valid_entries(entries, masks, s, i, b, geo), entries >= 0
+        )
+        # Clearing every live Reg leaves only boundary winners valid.
+        boundary = (got_np % geo.radix == 0) & (got_np // geo.radix % 128 == 0)
         cleared = masks.copy()
         cleared[s, i] = 0
         np.testing.assert_array_equal(
-            npb.valid_entries(got_np, cleared, s, i, b, batch._geo),
-            cb.valid_entries(got_np, cleared, s, i, b, batch._geo),
+            npb.valid_entries(got_np, cleared, s, i, b, geo), boundary
         )
 
     def test_winners_bulk(self, seed):
@@ -422,42 +440,63 @@ class TestKernelLevelEquivalence:
         np.testing.assert_array_equal(got_np, got_c)
 
     def test_survey_need(self, seed):
-        """Same exact minima and dirty marks on every survey of a real
-        drain; any winner the c kernel (re-)raced is the true winner
-        (stale entries it left alone are allowed to differ)."""
+        """On every survey of a real drain, the numpy survey's per-lane
+        minimum equals the minimum winner hops of the compiled race over
+        the same triples; missing entries mark their lanes dirty, and
+        every entry the survey (re-)raced is the true winner (stale
+        entries it left alone are allowed to stay stale)."""
         npb = get_kernel_backend("numpy")
-        cb = get_kernel_backend("c")
         for call in _recorded(seed, d=self.D_DRAIN).surveys:
             masks, win, dirty, s, i, b, pos, n_top, geo = _fresh(call)
-            win_c, dirty_c = win.copy(), dirty.copy()
-            need_np = npb.survey_need(
-                masks, win, dirty, s, i, b, pos, n_top, geo
-            )
-            need_c = cb.survey_need(
-                masks, win_c, dirty_c, s, i, b, pos, n_top, geo
-            )
-            np.testing.assert_array_equal(need_np, need_c)
-            np.testing.assert_array_equal(dirty, dirty_c)
-            before = call[1][s, i, b]
-            touched = win_c[s, i, b] != before
-            np.testing.assert_array_equal(
-                win_c[s, i, b][touched],
-                npb.race(masks, s[touched], i[touched], b[touched], geo),
-            )
+            before, dirty_before = win[s, i, b], dirty.copy()
+            need = npb.survey_need(masks, win, dirty, s, i, b, pos, n_top, geo)
+            truth = _compiled_race(masks, s, i, b, geo)
+            expect = np.full(n_top, 1 << 30, dtype=np.int64)
+            np.minimum.at(expect, pos, truth // geo.hops_div >> 1)
+            np.testing.assert_array_equal(need, expect)
+            dirtied = dirty_before.copy()
+            dirtied[s[before < 0]] = True
+            np.testing.assert_array_equal(dirty, dirtied)
+            touched = win[s, i, b] != before
+            np.testing.assert_array_equal(win[s, i, b][touched], truth[touched])
 
     def test_commit_scan(self, seed):
-        """Every record, charge and winner-slab write of every commit
-        scan of a real drain is identical."""
+        """Every commit scan of a real drain returns its observable
+        mutations as records: it writes only the winner slab, its Reg
+        clears are exactly the events its match records consume, and
+        its layer-0 and any-match totals agree with those records."""
         npb = get_kernel_backend("numpy")
-        cb = get_kernel_backend("c")
         for call in _recorded(seed, d=self.D_DRAIN).commits:
-            args_np, args_c = _fresh(call), _fresh(call)
-            got_np = npb.commit_scan(*args_np)
-            got_c = cb.commit_scan(*args_c)
-            for field, a, c in zip(got_np._fields, got_np, got_c):
-                assert a.dtype == c.dtype, field
-                np.testing.assert_array_equal(a, c, err_msg=field)
-            np.testing.assert_array_equal(args_np[1], args_c[1])
+            args = _fresh(call)
+            res = npb.commit_scan(*args)
+            for k in (0, 2, 3):  # masks, row_counts, popped
+                np.testing.assert_array_equal(args[k], call[k])
+            cur, popped, b = args[4], args[3], args[5]
+            consumed: dict[tuple[int, int], int] = {}
+            l0 = np.zeros(len(cur), dtype=np.int64)
+            for pos, u, t, u2, t2 in zip(
+                res.rec_pos.tolist(), res.rec_u.tolist(),
+                res.rec_t.tolist(), res.rec_u2.tolist(),
+                res.rec_t2.tolist(),
+            ):
+                base = int(popped[cur[pos]])
+                assert t - base == b
+                events = [(u, t)] + ([(u2, t2)] if u2 >= 0 else [])
+                for unit, depth in events:
+                    bit = 1 << (depth - base)
+                    held = consumed.get((pos, unit), 0)
+                    assert not held & bit, (pos, unit, depth)
+                    consumed[(pos, unit)] = held | bit
+                    l0[pos] += depth == base
+            clears = dict(zip(
+                zip(res.clear_pos.tolist(), res.clear_unit.tolist()),
+                res.clear_bits.tolist(),
+            ))
+            assert clears == consumed
+            np.testing.assert_array_equal(res.g_l0, l0[res.g_pos])
+            np.testing.assert_array_equal(
+                res.g_match, np.isin(res.g_pos, res.rec_pos)
+            )
 
     def test_commit_never_consumes_a_timeout_hit(self, seed):
         """The invariant that lets the commit scan charge every
@@ -516,14 +555,14 @@ class TestKernelLevelEquivalenceD13(TestKernelLevelEquivalence):
 
 
 def test_full_register_edge_depths():
-    """Reg bit 63 (a Reg holding all 64 layers) and validity shifts that
-    would pass it: the c kernels mirror the numpy clip and shifts, since
-    a C shift by 64 or more is undefined."""
+    """Reg bit 63 (a Reg holding all 64 layers) and exposed depths up to
+    it: the c kernels mirror the numpy shifts, since a C shift by 64 or
+    more is undefined."""
     from repro.core.engine import _kernel_geometry
     from repro.surface_code.lattice import PlanarLattice
 
     geo = _kernel_geometry(PlanarLattice(5))
-    n, radix = len(geo.bpacked), geo.radix
+    n = len(geo.bpacked)
     rng = np.random.default_rng(9)
     bits = rng.random((2, n, 64)) < 0.2
     bits[:, :, 63] |= rng.random((2, n)) < 0.5
@@ -534,19 +573,7 @@ def test_full_register_edge_depths():
     s, i = np.nonzero(masks >> np.uint64(63))
     b = np.full(len(s), 63, dtype=np.int64)
     np.testing.assert_array_equal(
-        npb.race(masks, s, i, b, geo), cb.race(masks, s, i, b, geo)
-    )
-    # Present entries whose target depth b + t_rel runs to and past 63.
-    m = 400
-    s = rng.integers(0, 2, m)
-    i = rng.integers(0, n, m)
-    b = rng.integers(50, 64, m)
-    src1 = rng.integers(0, radix, m)
-    t_rel = rng.integers(0, 20, m)
-    entries = src1 + radix * (t_rel + 128 * rng.integers(0, 50, m))
-    np.testing.assert_array_equal(
-        npb.valid_entries(entries, masks, s, i, b, geo),
-        cb.valid_entries(entries, masks, s, i, b, geo),
+        npb.race(masks, s, i, b, geo), _compiled_race(masks, s, i, b, geo)
     )
     sel = np.asarray([0, 1, 0, 1], dtype=np.int64)
     exposed = np.asarray([60, 61, 62, 63], dtype=np.int64)
@@ -573,10 +600,11 @@ class TestCInputChecks:
         batch, lanes, _ = _slab_state(0)
         cb = get_kernel_backend("c")
         s = np.zeros(3, dtype=np.int64)
+        row = batch._masks[0]
         with pytest.raises(ValueError, match="expected 3"):
-            cb.race(batch._masks, s, s[:2], s, batch._geo)
+            cb.winners_bulk(row, s, s, s[:2], batch._geo)
         with pytest.raises(ValueError, match="units"):
-            cb.race(batch._masks[:, :-1], s, s, s, batch._geo)
+            cb.winners_bulk(row[:-1], s, s, s, batch._geo)
 
 
 class TestSessionSpecBackend:
