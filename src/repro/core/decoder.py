@@ -26,10 +26,12 @@ __all__ = ["BATCH_DECODE_CUTOFF", "QecoolDecoder"]
 
 BATCH_DECODE_CUTOFF = 64
 """Minimum batch size for the shot-major drain path; smaller batches
-cannot amortise the lock-step machinery and fall back to the scalar
-engine (bit-identical either way).  Set at the measured break-even of
-the committed ``drain_batch_vs_scalar_d9_c*`` chunk-scaling points
-(~1.0x at 64 shots, 0.6x at 16)."""
+drain on the scalar engine (bit-identical either way).  64 is the break-even of the numpy
+fallback backend: its batch drain is 0.82x the scalar one at 16 shots
+and 1.17x at 64 (d=9, 9 rounds, p=0.1, 2-CPU x86_64 box).  With the
+default ``c`` backend the batch drain already wins 6.37x at 16 shots
+(``docs/DESIGN.md`` section 8); the value stays until the cutoffs are
+retired together (``ROADMAP.md`` item 2)."""
 
 
 class QecoolDecoder(Decoder):

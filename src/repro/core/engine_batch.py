@@ -74,7 +74,6 @@ from repro.core.engine import (
     _kernel_geometry,
     _pair_base_table,
     _packed_boundaries_arr,
-    QecoolEngine,
 )
 from repro.core.kernels import ControllerSlabs, resolve_kernel_backend
 from repro.core.spike import PRIORITY_WEST, port_table
@@ -257,11 +256,6 @@ class QecoolEngineBatch:
         self._layer_cycles[lane] = []
         self._cursors.pop(lane, None)
 
-    @property
-    def n_free(self) -> int:
-        """Lanes currently unallocated."""
-        return len(self._free)
-
     # Per-lane observables (the scalar engine's public accounting).
     def matches_of(self, lane: int) -> list:
         """The lane's match list (live object; do not mutate)."""
@@ -288,10 +282,6 @@ class QecoolEngineBatch:
     def cycles_of(self, lane: int) -> int:
         """The lane's busy-cycle clock."""
         return int(self._cycles[lane])
-
-    def m_of(self, lane: int) -> int:
-        """Layers currently stored in the lane's Regs."""
-        return int(self._m[lane])
 
     def is_parked(self, lane: int) -> bool:
         """True when the lane's Controller sits at a clean IDLE point."""
@@ -1540,14 +1530,3 @@ class QecoolEngineBatch:
                     " cycle — matching policy bug"
                 )
         return True
-
-    # ------------------------------------------------------------------
-    # Oracle cross-check helper
-    # ------------------------------------------------------------------
-    def scalar_twin(self, lane: int) -> QecoolEngine:
-        """A fresh scalar engine of this batch's shape (the oracle the
-        equivalence tests replay each lane's input stream through)."""
-        return QecoolEngine(
-            self.lattice, thv=self.thv, reg_size=self.reg_size,
-            nlimit=self.nlimit, kernel_backend=self._kernel,
-        )

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine_batch import QecoolEngineBatch
 from repro.core.online import OnlineShot, StreamingBlock, advance_streaming_round, run_online_trial
 from repro.core.window import SlidingWindowDecoder
 from repro.service import (
@@ -207,8 +208,8 @@ class TestSchedulerBitIdentity:
     def test_recycled_scalar_engines_stay_bit_identical(self, monkeypatch):
         """Sessions below BATCH_EVENT_CUTOFF dispatch to pooled scalar
         engines; a recycled (reset) engine must show no residue of its
-        previous session.  The production cutoff is 0 (everything rides
-        the batch engine), so pin it high to force the scalar path."""
+        previous session.  The production cutoff is 0.5 expected events
+        per round; pin it high so every session takes the scalar path."""
         import repro.service.scheduler as scheduler_module
 
         monkeypatch.setattr(scheduler_module, "BATCH_EVENT_CUTOFF", 1e9)
@@ -416,32 +417,62 @@ class TestWindowSessions:
 class TestDynamicMembership:
     """advance_streaming_round with hand-managed membership."""
 
-    def test_join_a_running_batch(self, d5):
+    @pytest.mark.parametrize(
+        "joiner_on_lane", [True, False], ids=["batch-lane", "scalar-engine"]
+    )
+    def test_join_a_running_batch(self, d5, joiner_on_lane):
+        """A shot admitted into a running block — on a lane of the
+        running shot's batch engine, or on its own scalar engine — and
+        the running shot both stay bit-identical to standalone trials."""
         noise = PhenomenologicalNoise(0.03)
         config = SessionSpec(d=5, p=0.03, seed=0).online_config()
-        solo = OnlineShot(d5, noise, 6, config, rng=61)
+        block = StreamingBlock(d5, capacity=2)
+        # One lane: a lane joiner grows the engine mid-stream.
+        engines = QecoolEngineBatch(
+            d5, thv=config.thv, reg_size=config.reg_size, capacity=1
+        )
+        solo = OnlineShot(d5, noise, 6, config, rng=61, block=block, batch=engines)
         batch = [solo]
         for _ in range(3):
-            batch, _ = advance_streaming_round(d5, batch)
-        joiner = OnlineShot(d5, noise, 6, config, rng=62)
+            batch, _ = advance_streaming_round(d5, batch, block=block)
+        joiner = OnlineShot(
+            d5, noise, 6, config, rng=62, block=block,
+            batch=engines if joiner_on_lane else None,
+        )
+        assert (joiner._batch is not None) == joiner_on_lane
         batch.append(joiner)
         while batch:
-            batch, _ = advance_streaming_round(d5, batch)
+            batch, _ = advance_streaming_round(d5, batch, block=block)
         for shot, seed in ((solo, 61), (joiner, 62)):
             reference = run_online_trial(d5, 0.03, 6, config, rng=seed)
             assert shot.outcome.matches == reference.matches
             assert shot.outcome.layer_cycles == reference.layer_cycles
 
-    def test_blockless_shot_in_slab_batch_rejected(self, d5):
-        """A block-less shot (row == -1) passed with block= would alias
-        the slab's last row; the advance must refuse, not corrupt."""
+    def test_foreign_block_shot_rejected(self, d5):
+        """A shot whose row lives in another block would index this
+        block's slabs at a co-tenant's row (both shots hold row 0
+        here); the advance must refuse, not corrupt."""
         block = StreamingBlock(d5, capacity=4)
+        other = StreamingBlock(d5, capacity=4)
         noise = PhenomenologicalNoise(0.02)
         config = SessionSpec(d=5, p=0.02, seed=0).online_config()
         good = OnlineShot(d5, noise, 5, config, rng=1, block=block)
-        stray = OnlineShot(d5, noise, 5, config, rng=2)  # private rows
+        stray = OnlineShot(d5, noise, 5, config, rng=2, block=other)
+        assert good.row == stray.row
         with pytest.raises(ValueError, match="row"):
             advance_streaming_round(d5, [good, stray], block=block)
+
+    def test_block_is_required(self, d5):
+        """Every shot lives in a block; there is no blockless path."""
+        noise = PhenomenologicalNoise(0.02)
+        config = SessionSpec(d=5, p=0.02, seed=0).online_config()
+        with pytest.raises(TypeError):
+            OnlineShot(d5, noise, 5, config, rng=1)
+        shot = OnlineShot(
+            d5, noise, 5, config, rng=1, block=StreamingBlock(d5, capacity=1)
+        )
+        with pytest.raises(TypeError):
+            advance_streaming_round(d5, [shot])
 
     def test_block_grow_rebinds(self, d5):
         block = StreamingBlock(d5, capacity=2)
